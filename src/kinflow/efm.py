@@ -193,27 +193,30 @@ class EfmField:
         if not (0.0 <= t < 1.0):
             raise ValueError(f"t must lie in [0, 1), got {t}")
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xs = x[None, :] if single else x
+        out = _efm_rows(self.atoms, x.reshape(-1, x.shape[-1]), t, self.neighbors)
+        return out[0] if x.ndim == 1 else out
 
-        tc = min(max(t, T_CLAMP), 1.0 - T_CLAMP)
-        sigma2 = (1.0 - tc) ** 2
-        # (B, N) bridge distances; log-sum-exp softmax per query
-        d2 = ((xs[:, None, :] - tc * self.atoms[None, :, :]) ** 2).sum(axis=2)
-        logw = -d2 / (2.0 * sigma2)
-        if self.neighbors is not None and self.neighbors < len(self.atoms):
-            kept = np.argpartition(d2, self.neighbors - 1, axis=1)[:, :self.neighbors]
-            out = np.empty_like(xs)
-            for row, idx in enumerate(kept):
-                lw = logw[row, idx]
-                w = np.exp(lw - lw.max())
-                w /= w.sum()
-                out[row] = (w @ self.atoms[idx] - xs[row]) / (1.0 - t)
-            return out[0] if single else out
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        out = (w @ self.atoms - xs) / (1.0 - t)
-        return out[0] if single else out
+
+def _efm_rows(atoms: np.ndarray, xs: np.ndarray, t, neighbors: int | None) -> np.ndarray:
+    """Velocities of the (B, d) queries ``xs`` at one time ``t`` or one per row.
+
+    Bridge distances are direct differences, summed coordinate by coordinate
+    into (B, N) arrays: the expanded quadratic form cancels badly once
+    (1 - t)^2 is small.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    tb = t[:, None] if t.ndim else t
+    tc = np.clip(tb, T_CLAMP, 1.0 - T_CLAMP)
+    d2 = sum((xs[:, k, None] - tc * atoms[:, k]) ** 2 for k in range(atoms.shape[1]))
+    logw = -d2 / (2.0 * (1.0 - tc) ** 2)
+    truncate = neighbors is not None and neighbors < len(atoms)
+    if truncate:
+        kept = np.argpartition(d2, neighbors - 1, axis=1)[:, :neighbors]
+        logw = np.take_along_axis(logw, kept, axis=1)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    targets = np.einsum("bk,bkd->bd", w, atoms[kept]) if truncate else w @ atoms
+    return (targets - xs) / (1.0 - tb)
 
 
 def efm_velocity(f: EfmField, x, t: float) -> np.ndarray:

@@ -1,7 +1,10 @@
 """ODE sampling with per-step kinetic energy accumulation and velocity shaping.
 
-Any callable ``field(x, t) -> velocity`` can be integrated on a uniform grid
-over [0, 1 - delta_cut] with forward Euler or the explicit midpoint rule.  The
+Any callable ``field(x, t) -> velocity`` that takes an (m, d) batch of states
+and returns an (m, d) velocity, or one that broadcasts to it, can be
+integrated on a uniform grid over [0, 1 - delta_cut] with forward Euler or the
+explicit midpoint rule.  All trajectories of a batch advance together: one
+field call per solver stage per step, whatever m is.  The
 per-step instantaneous power ||v||^2 is recorded at the evaluation that moves
 the state (Euler: left endpoint; midpoint: the midpoint evaluation), and the
 kinetic path energy is the half-sum of power times the step width.
@@ -67,6 +70,11 @@ class KtsSchedule:
             raise ValueError("k must be > 0")
         if not (0.0 < self.tau_split < 1.0):
             raise ValueError("tau_split must lie in (0, 1)")
+        # eta falls monotonically after the split; eta(1) > 0 keeps it positive
+        landing = self.beta0 * (np.exp(self.k * (1.0 - self.tau_split)) - 1.0)
+        if landing >= 1.0:
+            raise ValueError(f"beta0={self.beta0} reverses the flow: eta(1) = "
+                             f"{1.0 - landing:.3g} <= 0")
 
 
 def kts_eta(s: KtsSchedule, t: float) -> float:
@@ -125,44 +133,57 @@ class Trajectory:
         return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
-              tau_split: float = 0.6, meta: dict | None = None,
-              _traj_index: int | None = None) -> Trajectory:
-    """Integrate one trajectory from ``x0`` on the uniform grid of ``cfg``."""
-    x = np.array(x0, dtype=np.float64)
-    n = cfg.steps
-    horizon = 1.0 - cfg.delta_cut
-    dt = horizon / n
-    times = np.linspace(0.0, horizon, n + 1)
+def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
+                    tau_split: float, meta: dict | None):
+    """Advance the (m, d) rows of ``x0`` together: one field call per solver
+    stage per step, on the rows still finite.  Returns the trajectories (row
+    views of one (m, N+1, d) buffer; valid only without failures) and the
+    sorted (row, step) pairs at which rows turned non-finite."""
+    m, dim = x0.shape
+    dt = (1.0 - cfg.delta_cut) / cfg.steps
+    times = np.linspace(0.0, 1.0 - cfg.delta_cut, cfg.steps + 1)
 
-    states = np.empty((n + 1, x.size))
-    velocities = np.empty((n, x.size))
-    power = np.empty(n)
-    states[0] = x
-    for j in range(n):
-        t_j = times[j]
-        if cfg.method == "euler":
-            v = np.asarray(field_fn(x, t_j), dtype=np.float64)
-        else:
-            v_left = np.asarray(field_fn(x, t_j), dtype=np.float64)
-            v = np.asarray(field_fn(x + 0.5 * dt * v_left, t_j + 0.5 * dt),
-                           dtype=np.float64)
+    def call(x, t):
+        return np.broadcast_to(field_fn(x, t), x.shape).astype(np.float64)
+
+    states = np.empty((m, cfg.steps + 1, dim))
+    velocities = np.empty((m, cfg.steps, dim))
+    states[:, 0] = x = x0
+    rows, failures = np.arange(m), []
+    for j, t in enumerate(times[:-1]):
+        v = call(x, t)
+        if cfg.method == "midpoint":
+            ok = np.isfinite(v).all(axis=1)
+            if ok.any():
+                v[ok] = call(x[ok] + 0.5 * dt * v[ok], t + 0.5 * dt)
         x = x + dt * v
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(x))):
-            raise IntegrationDiverged(j, _traj_index)
-        velocities[j] = v
-        power[j] = float(v @ v)
-        states[j + 1] = x
+        velocities[rows, j], states[rows, j + 1] = v, x
+        ok = np.isfinite(v).all(axis=1) & np.isfinite(x).all(axis=1)
+        failures += [(int(i), j) for i in rows[~ok]]
+        rows, x = rows[ok], x[ok]
+        if not len(rows):
+            break
 
+    power = (velocities ** 2).sum(axis=2)
     early = times[:-1] < tau_split
-    kpe_early = float(0.5 * power[early].sum() * dt)
-    kpe_late = float(0.5 * power[~early].sum() * dt)
-    info = {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut}
-    if meta:
-        info.update(meta)
-    return Trajectory(times, states, velocities, power,
-                      kpe=kpe_early + kpe_late, kpe_early=kpe_early,
-                      kpe_late=kpe_late, tau_split=tau_split, meta=info)
+    kpe_early = 0.5 * power[:, early].sum(axis=1) * dt
+    kpe_late = 0.5 * power[:, ~early].sum(axis=1) * dt
+    info = {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut,
+            **(meta or {})}
+    return [Trajectory(times, states[i], velocities[i], power[i], float(ke + kl),
+                       float(ke), float(kl), tau_split, dict(info))
+            for i, (ke, kl) in enumerate(zip(kpe_early, kpe_late))], sorted(failures)
+
+
+def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
+              tau_split: float = 0.6, meta: dict | None = None) -> Trajectory:
+    """Integrate one trajectory from ``x0``: the m = 1 case of the batched
+    core, so the field is called with a (1, d) batch."""
+    trajs, failures = _integrate_rows(field_fn, np.array(x0, dtype=np.float64)[None, :],
+                                      cfg, tau_split, meta)
+    if failures:
+        raise IntegrationDiverged(failures[0][1])
+    return trajs[0]
 
 
 def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
@@ -176,21 +197,14 @@ def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    streams = np.random.SeedSequence(cfg.seed).spawn(m)
-    out: list[Trajectory] = []
-    failures: list[tuple[int, IntegrationDiverged]] = []
-    for i, ss in enumerate(streams):
-        x0 = np.random.default_rng(ss).standard_normal(dim)
-        try:
-            out.append(integrate(field_fn, x0, cfg, tau_split, meta, _traj_index=i))
-        except IntegrationDiverged as exc:
-            failures.append((i, exc))
+    x0 = np.stack([np.random.default_rng(ss).standard_normal(dim)
+                   for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
+    trajs, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta)
     if failures:
-        idx, first = failures[0]
-        err = IntegrationDiverged(first.step, idx)
-        err.failures = failures
+        err = IntegrationDiverged(failures[0][1], failures[0][0])
+        err.failures = [(i, IntegrationDiverged(step, i)) for i, step in failures]
         raise err
-    return out
+    return trajs
 
 
 def save_traces(trajectories: Sequence[Trajectory], path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .efm import (EfmField, MixtureModel, T_CLAMP, dominance,
+from .efm import (EfmField, MixtureModel, T_CLAMP, _efm_rows, dominance,
                   mixture_log_density, mixture_score, general_velocity,
                   posterior_weights)
 
@@ -263,30 +263,10 @@ def check_concentration(m: MixtureModel, x_of_t, ts, margin: float) -> Concentra
 
 
 def _efm_speed2_over_times(f: EfmField, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """||f(x, t)||^2 for a frozen x over many times, vectorized over t."""
-    atoms = f.atoms
-    x = np.asarray(x, dtype=np.float64)
+    """||f(x, t)||^2 for a frozen x over many times, one kernel row per time."""
     ts = np.asarray(ts, dtype=np.float64)
-    tc = np.clip(ts, T_CLAMP, 1.0 - T_CLAMP)
-    # squared bridge distances (T, N) via the expanded quadratic form
-    x_dot_a = atoms @ x
-    a_norm2 = (atoms ** 2).sum(axis=1)
-    d2 = (x @ x) - 2.0 * tc[:, None] * x_dot_a[None, :] \
-        + (tc ** 2)[:, None] * a_norm2[None, :]
-    sigma2 = (1.0 - tc) ** 2
-    logw = -d2 / (2.0 * sigma2[:, None])
-    if f.neighbors is not None and f.neighbors < len(atoms):
-        kept = np.argpartition(d2, f.neighbors - 1, axis=1)[:, :f.neighbors]
-        logw = np.take_along_axis(logw, kept, axis=1)
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        targets = np.einsum("tk,tkd->td", w, atoms[kept])
-    else:
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        targets = w @ atoms
-    vel = (targets - x[None, :]) / (1.0 - ts)[:, None]
-    return (vel ** 2).sum(axis=1)
+    xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (len(ts), len(x)))
+    return (_efm_rows(f.atoms, xs, ts, f.neighbors) ** 2).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from kinflow import datasets, net, sampler
+from kinflow import datasets, net, sampler, theory
 from kinflow.cli import (EXIT_CHECK_FAILURE, EXIT_INVALID_CONFIG, EXIT_OK,
-                         ExperimentConfig, config_hash, emit_plots, main,
-                         run_pipeline)
+                         ExperimentConfig, StageFailure, config_hash, emit_plots,
+                         main, run_pipeline, stage_gen, stage_verify)
 
 TINY = {
     "dataset": {"kind": "dense_sparse", "n": 60, "seed": 7},
@@ -60,6 +60,12 @@ class TestTrainCommand:
         lines = open(loss_csv).read().strip().splitlines()
         assert lines[0] == "iter,loss"
         assert len(lines) == 41
+
+    def test_loss_curve_is_numeric(self, tiny_artifacts):
+        loss_csv = str(tiny_artifacts["model"]).replace(".ckpt", "_loss.csv")
+        rows = open(loss_csv).read().strip().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(40))
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
 
     def test_missing_data_file(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
@@ -124,6 +130,38 @@ class TestVerifyTheoryCommand:
         assert all(b["pass_rate"] == 1.0 for b in report["bounds"])
         assert code == EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
         assert report["all_passed"]
+
+
+class TestVerifyStage:
+    def test_checks_points_on_dense_sparse_seed_7(self, tmp_path):
+        # the first 50 points of this dataset are all dense-core atoms, among
+        # which no sampled point passes the dominance filter
+        cfg = ExperimentConfig.from_dict(
+            {"dataset": {"kind": "dense_sparse", "n": 500, "seed": 7},
+             "solver": {"m": 10}})
+        stage_gen(cfg, str(tmp_path))
+        out = stage_verify(cfg, str(tmp_path))
+        report = json.loads(open(out["report"]).read())
+        bounds = report["bounds"]
+        assert sum(b["n_checked"] for b in bounds) > 0
+        assert sum(b["n_checked"] + b["n_skipped"] + b["rejected_in_sampling"]
+                   for b in bounds) == 9 * 40
+        assert report["all_passed"] and not report["inconclusive"]
+
+    def test_nothing_checked_fails_the_stage(self, tmp_path, monkeypatch):
+        # every sampled point is rejected by the dominance filter; the other
+        # suites still run on real data and pass
+        monkeypatch.setattr(theory, "sample_dominant_points",
+                            lambda m, ts, eps, per_time, rng: ([], len(ts) * per_time))
+        cfg = ExperimentConfig.from_dict(
+            {"dataset": {"kind": "dense_sparse", "n": 500, "seed": 7},
+             "solver": {"m": 10}})
+        stage_gen(cfg, str(tmp_path))
+        with pytest.raises(StageFailure, match="inconclusive"):
+            stage_verify(cfg, str(tmp_path))
+        report = json.loads((tmp_path / "theory_report.json").read_text())
+        assert report["inconclusive"] and not report["all_passed"]
+        assert report["bounds"][0]["pass_rate"] == 1.0
 
 
 class TestKtsSweepCommand:
@@ -223,6 +261,28 @@ class TestRunPipeline:
         manifest = run_pipeline(changed, str(outdir))
         assert manifest["stages"]["train"]["skipped"]
         assert not manifest["stages"]["sample"]["skipped"]
+
+    def test_solver_seed_change_keeps_generated_data(self, tmp_path):
+        outdir = tmp_path / "run"
+        run_pipeline(ExperimentConfig.from_dict(TINY), str(outdir))
+        files = ("data.csv", "heldout.csv")
+        before = {f: ((outdir / f).read_bytes(), os.stat(outdir / f).st_mtime_ns)
+                  for f in files}
+        rows = (outdir / "loss.csv").read_text().strip().splitlines()[1:]
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
+
+        reseeded = {**TINY, "solver": {**TINY["solver"], "seed": 9}}
+        manifest = run_pipeline(ExperimentConfig.from_dict(reseeded), str(outdir))
+        assert manifest["stages"]["gen"]["skipped"]
+        assert not manifest["stages"]["sample"]["skipped"]
+        for f in files:
+            assert ((outdir / f).read_bytes(), os.stat(outdir / f).st_mtime_ns) == before[f]
+
+        # the held-out size follows m, so changing m regenerates
+        resized = {**TINY, "solver": {**TINY["solver"], "seed": 9, "m": 40}}
+        manifest = run_pipeline(ExperimentConfig.from_dict(resized), str(outdir))
+        assert not manifest["stages"]["gen"]["skipped"]
+        assert len((outdir / "heldout.csv").read_text().splitlines()) == 41
 
     def test_lock_file_guards_directory(self, tmp_path):
         outdir = tmp_path / "run"

@@ -106,6 +106,32 @@ class TestEfmVelocity:
         with pytest.raises(ValueError):
             EfmField(np.zeros((3, 2)), neighbors=4)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.999])
+    def test_vectorised_top_k_matches_row_loop(self, t):
+        rng = np.random.default_rng(12)
+        atoms = rng.standard_normal((1000, 2))
+        xs = rng.standard_normal((40, 2))
+        got = EfmField(atoms, neighbors=100)(xs, t)
+        tc = min(max(t, 1e-9), 1.0 - 1e-9)
+        for row, x in enumerate(xs):
+            d2 = ((x - tc * atoms) ** 2).sum(axis=1)
+            idx = np.argsort(d2, kind="stable")[:100]
+            logw = -d2[idx] / (2.0 * (1.0 - tc) ** 2)
+            w = np.exp(logw - logw.max())
+            want = (w / w.sum() @ atoms[idx] - x) / (1.0 - t)
+            np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("neighbors", [None, 20])
+    def test_time_sweep_matches_fixed_time_calls(self, neighbors):
+        # the blow-up probe's fixed-x sweep runs on the same kernel
+        from kinflow.theory import _efm_speed2_over_times
+        atoms = np.random.default_rng(13).standard_normal((1000, 2))
+        f = EfmField(atoms, neighbors=neighbors)
+        x = np.array([0.4, -1.1])
+        ts = 1.0 - np.geomspace(1e-6, 1.0, 300)
+        want = [float(f(x, t) @ f(x, t)) for t in ts]
+        np.testing.assert_allclose(_efm_speed2_over_times(f, x, ts), want, rtol=1e-12)
+
 
 class TestMixtureDensity:
     def test_single_gaussian_at_mean(self):

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kinflow.efm import EfmField
+from kinflow.net import NeuralVelocityField, init_params
 from kinflow.sampler import (IntegrationDiverged, KtsSchedule, SolverConfig,
                              batch_summary, integrate, kts_eta, load_traces,
                              sample_batch, save_traces, shaped_field)
@@ -15,6 +19,34 @@ def constant_field(v):
 
 def decay_field(x, t):
     return -np.asarray(x, dtype=float)
+
+
+def loop_reference(field_fn, m, cfg, tau_split=0.6):
+    """Per-trajectory integration with single-row field calls, written out
+    apart from the sampler: (states, kpe, kpe_early) per trajectory."""
+    def single(x, t):
+        return np.asarray(field_fn(x[None, :], t), dtype=float)[0]
+
+    horizon = 1.0 - cfg.delta_cut
+    dt = horizon / cfg.steps
+    times = np.linspace(0.0, horizon, cfg.steps + 1)
+    early = times[:-1] < tau_split
+    out = []
+    for ss in np.random.SeedSequence(cfg.seed).spawn(m):
+        x = np.random.default_rng(ss).standard_normal(2)
+        states, power = [x], []
+        for t in times[:-1]:
+            v = single(x, t)
+            if cfg.method == "midpoint":
+                v = single(x + 0.5 * dt * v, t + 0.5 * dt)
+            x = x + dt * v
+            states.append(x)
+            power.append(v @ v)
+        power = np.array(power)
+        kpe_early = 0.5 * power[early].sum() * dt
+        out.append((np.array(states), kpe_early + 0.5 * power[~early].sum() * dt,
+                    kpe_early))
+    return out
 
 
 class TestKtsGain:
@@ -46,6 +78,28 @@ class TestKtsGain:
         with pytest.raises(ValueError):
             KtsSchedule(tau_split=1.0)
 
+    def test_flow_reversing_landing_rejected(self):
+        # at k=3, tau=0.6, eta(1) > 0 needs beta0 < 1 / (e^1.2 - 1) = 0.4310
+        assert kts_eta(KtsSchedule(beta0=0.43), 1.0) > 0.0
+        with pytest.raises(ValueError, match="reverses the flow"):
+            KtsSchedule(beta0=0.5)
+        with pytest.raises(ValueError):
+            KtsSchedule(beta0=0.432)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.01, 6.0),
+       st.floats(0.01, 0.99))
+def test_accepted_gains_stay_positive(alpha0, beta0, k, tau_split):
+    """Every accepted schedule keeps eta > 0 on [0, 1]; every rejected one
+    has eta(1) <= 0."""
+    try:
+        s = KtsSchedule(alpha0=alpha0, beta0=beta0, k=k, tau_split=tau_split)
+    except ValueError:
+        assert 1.0 - beta0 * (np.exp(k * (1.0 - tau_split)) - 1.0) <= 0.0
+        return
+    assert min(kts_eta(s, float(t)) for t in np.linspace(0.0, 1.0, 1001)) > 0.0
+
 
 class TestShapedField:
     def test_zero_gains_bit_identical(self):
@@ -68,7 +122,7 @@ class TestShapedField:
 
     def test_zero_base_stays_zero(self):
         shaped = shaped_field(constant_field([0.0, 0.0]),
-                              KtsSchedule(alpha0=0.5, beta0=0.5))
+                              KtsSchedule(alpha0=0.5, beta0=0.3))
         assert np.array_equal(shaped(np.ones(2), 0.2), np.zeros(2))
 
 
@@ -197,6 +251,79 @@ class TestSampleBatch:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             sample_batch(decay_field, 0, SolverConfig())
+
+    def test_partial_divergence_leaves_other_rows_alone(self):
+        cfg = SolverConfig(steps=10, seed=4)
+        solo = [states for states, _, _ in loop_reference(decay_field, 5, cfg)]
+        blow_at = {1: 2, 3: 5}           # row -> step at which it diverges
+        seen = []
+
+        def field(x, t):
+            seen.append(x.copy())
+            v = -x
+            for row, step in blow_at.items():
+                v[np.all(x == solo[row][step], axis=1)] = np.nan
+            return v
+
+        with pytest.raises(IntegrationDiverged) as err:
+            sample_batch(field, 5, cfg)
+        assert [(i, e.step, e.trajectory) for i, e in err.value.failures] == \
+            [(1, 2, 1), (3, 5, 3)]
+        assert (err.value.trajectory, err.value.step) == (1, 2)
+        # each call held exactly the rows not yet diverged, in the states the
+        # same rows reach when integrated alone
+        assert len(seen) == cfg.steps
+        for j, x in enumerate(seen):
+            alive = [i for i in range(5) if blow_at.get(i, cfg.steps) >= j]
+            assert np.array_equal(x, np.array([solo[i][j] for i in alive]))
+
+    def test_midpoint_drops_rows_diverged_in_first_stage(self):
+        rows = []
+
+        def field(x, t):
+            rows.append(len(x))
+            v = -x
+            if abs(t - 0.3) < 1e-12:      # the left stage of step 3
+                v[0] = np.inf
+            return v
+
+        with pytest.raises(IntegrationDiverged) as err:
+            sample_batch(field, 4, SolverConfig(method="midpoint", steps=10, seed=1))
+        assert [(i, e.step) for i, e in err.value.failures] == [(0, 3)]
+        assert rows == [4] * 7 + [3] * 13
+
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("midpoint", 2)])
+    def test_one_field_call_per_stage_per_step(self, method, stages):
+        calls = []
+
+        def field(x, t):
+            calls.append(x.shape)
+            return -x
+
+        sample_batch(field, 7, SolverConfig(method=method, steps=9, seed=2))
+        assert calls == [(7, 2)] * (9 * stages)
+
+
+class TestBatchMatchesLoop:
+    """The batched core against per-trajectory integration with B=1 calls."""
+
+    @staticmethod
+    def assert_matches(field_fn, m, cfg):
+        trajs = sample_batch(field_fn, m, cfg)
+        for traj, (states, kpe, kpe_early) in zip(trajs, loop_reference(field_fn, m, cfg)):
+            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-12)
+            assert traj.kpe == pytest.approx(kpe, rel=1e-12)
+            assert traj.kpe_early == pytest.approx(kpe_early, rel=1e-12, abs=1e-300)
+
+    def test_neural_euler(self):
+        field_fn = NeuralVelocityField(init_params(3))
+        self.assert_matches(field_fn, 16, SolverConfig(method="euler", steps=50, seed=8))
+
+    def test_efm_top_k_midpoint(self):
+        atoms = np.random.default_rng(6).standard_normal((300, 2))
+        field_fn = EfmField(atoms, neighbors=30)
+        cfg = SolverConfig(method="midpoint", steps=100, delta_cut=1e-3, seed=9)
+        self.assert_matches(field_fn, 12, cfg)
 
 
 class TestSolverConfig:
