@@ -23,7 +23,7 @@ from .net import (MlpParams, NeuralVelocityField, TrainConfig, TrainResult,
                   load_checkpoint, save_checkpoint, time_encoding, train)
 from .sampler import (IntegrationDiverged, KtsSchedule, SolverConfig,
                       Trajectory, batch_summary, integrate, kts_eta,
-                      load_traces, sample_batch, save_traces, shaped_field)
+                      load_traces, sample_batch, save_traces)
 from .theory import (BoundCheckReport, BoundConstants, blowup_probe,
                      bound_constants, check_concentration,
                      check_energy_density_bounds,

@@ -173,23 +173,20 @@ def stage_train(cfg: ExperimentConfig, outdir: str) -> dict:
     return {"model": model_path, "loss_curve": loss_path}
 
 
-def _shaped(base, kts_cfg: KtsConfig):
-    schedule = sampler.KtsSchedule(alpha0=kts_cfg.alpha0, beta0=kts_cfg.beta0,
-                                   k=kts_cfg.k, tau_split=kts_cfg.tau_split)
-    return sampler.shaped_field(base, schedule), schedule
+def _solver_config(solver: SolverStageConfig) -> sampler.SolverConfig:
+    return sampler.SolverConfig(method=solver.method, steps=solver.steps,
+                                delta_cut=solver.delta_cut, seed=solver.seed)
 
 
 def stage_sample(cfg: ExperimentConfig, outdir: str) -> dict:
     params = net.load_checkpoint(os.path.join(outdir, "model.ckpt"))
-    base = net.NeuralVelocityField(params)
-    field_fn, schedule = _shaped(base, cfg.kts)
-    scfg = sampler.SolverConfig(method=cfg.solver.method, steps=cfg.solver.steps,
-                                delta_cut=cfg.solver.delta_cut, seed=cfg.solver.seed)
-    trajs = sampler.sample_batch(field_fn, cfg.solver.m, scfg,
+    trajs = sampler.sample_batch(net.NeuralVelocityField(params), cfg.solver.m,
+                                 _solver_config(cfg.solver),
                                  tau_split=cfg.kts.tau_split,
                                  meta={"field": "neural", "seed": cfg.solver.seed,
                                        "alpha0": cfg.kts.alpha0,
-                                       "beta0": cfg.kts.beta0})
+                                       "beta0": cfg.kts.beta0},
+                                 schedules=(sampler.KtsSchedule(**asdict(cfg.kts)),))
     traces_path = os.path.join(outdir, "traces.csv")
     summary_path = os.path.join(outdir, "summary.json")
     sampler.save_traces(trajs, traces_path)
@@ -339,14 +336,19 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
     return report
 
 
+def _theory_atoms(points: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
+    """``n_atoms`` points drawn without replacement from a child stream of
+    ``seed``, kept in file order.  Generators concatenate their strata, so a
+    prefix may hold one stratum only; a seeded subsample spans them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return points[np.sort(rng.choice(len(points), min(n_atoms, len(points)),
+                                     replace=False))]
+
+
 def stage_verify(cfg: ExperimentConfig, outdir: str) -> dict:
     points = datasets.load_csv(os.path.join(outdir, "data.csv")).points
-    # generators concatenate their strata, so a prefix may hold one stratum
-    # only; a seeded subsample spans them
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.dataset.seed).spawn(1)[0])
-    atoms = points[np.sort(rng.choice(len(points), min(50, len(points)),
-                                      replace=False))]
-    report = _theory_report({2: atoms}, [cfg.diagnostics.eps], seed=cfg.dataset.seed)
+    report = _theory_report({2: _theory_atoms(points, 50, cfg.dataset.seed)},
+                            [cfg.diagnostics.eps], seed=cfg.dataset.seed)
     path = os.path.join(outdir, "theory_report.json")
     _write_json(path, report)
     if report["inconclusive"]:
@@ -367,16 +369,47 @@ PIPELINE_STAGES = (
 )
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:     # alive, owned by another user
+        pass
+    return True
+
+
+def _acquire_lock(lock_path: str) -> None:
+    """Create ``lock_path`` holding this process's pid.  A lock whose pid is
+    no longer alive was left by a killed run and is broken; a lock without a
+    readable pid is taken as held."""
+    for _ in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                with open(lock_path) as fh:
+                    owner = fh.read().strip()
+            except FileNotFoundError:       # released in the meantime
+                continue
+            if not owner.isdigit() or _pid_alive(int(owner)):
+                raise StageFailure("lock", RuntimeError(
+                    f"output directory is locked by another run "
+                    f"(pid {owner or 'unknown'}): {lock_path}"))
+            os.unlink(lock_path)
+            continue
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return
+    raise StageFailure("lock", RuntimeError(
+        f"another run took the lock while a stale one was broken: {lock_path}"))
+
+
 def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
     """Execute all stages with config-hash caching; returns the manifest."""
     os.makedirs(outdir, exist_ok=True)
     lock_path = os.path.join(outdir, ".lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        raise StageFailure("lock", RuntimeError(
-            f"output directory is locked by another run: {lock_path}"))
+    _acquire_lock(lock_path)
     try:
         full = cfg.to_dict()
         manifest = {"config_hash": config_hash(full), "version": VERSION,
@@ -415,16 +448,18 @@ def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
 def kts_sweep(params: net.MlpParams, data: datasets.LabeledDataset,
               heldout_points: np.ndarray, cfg: ExperimentConfig,
               alpha_grid, beta_grid) -> list[dict]:
-    """Quality / memorization / energy table over a gain grid, baseline first."""
-    base = net.NeuralVelocityField(params)
-    scfg = sampler.SolverConfig(method=cfg.solver.method, steps=cfg.solver.steps,
-                                delta_cut=cfg.solver.delta_cut, seed=cfg.solver.seed)
-    rows = []
+    """Quality / memorization / energy table over a gain grid, baseline first.
+    Every cell integrates the same starts, all in one batch."""
+    m = cfg.solver.m
     cells = [(0.0, 0.0)] + [(a, b) for a in alpha_grid for b in beta_grid]
-    for a0, b0 in cells:
-        field_fn, _ = _shaped(base, replace(cfg.kts, alpha0=a0, beta0=b0))
-        trajs = sampler.sample_batch(field_fn, cfg.solver.m, scfg,
-                                     tau_split=cfg.kts.tau_split)
+    plain = sampler.KtsSchedule(**asdict(cfg.kts))
+    batch = sampler.sample_batch(
+        net.NeuralVelocityField(params), m, _solver_config(cfg.solver),
+        tau_split=cfg.kts.tau_split,
+        schedules=[replace(plain, alpha0=a0, beta0=b0) for a0, b0 in cells])
+    rows = []
+    for c, (a0, b0) in enumerate(cells):
+        trajs = batch[c * m:(c + 1) * m]
         endpoints = np.array([t.endpoint for t in trajs])
         mem = diagnostics.f_mem(endpoints, data.points,
                                 tau_gap=cfg.diagnostics.tau_gap,
@@ -544,7 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kts-sweep", help="gain-grid sweep on a trained model")
     k.add_argument("--model", required=True)
     k.add_argument("--data", required=True)
-    k.add_argument("--heldout", default=None)
+    k.add_argument("--heldout", required=True,
+                   help="held-out CSV, disjoint from --data")
     k.add_argument("--alpha0-grid", default="0,0.01,0.02")
     k.add_argument("--beta0-grid", default="0,0.01,0.02")
     k.add_argument("--solver", choices=("euler", "midpoint"), default="euler")
@@ -602,12 +638,12 @@ def _cmd_sample(args) -> int:
         label = "efm"
     schedule = sampler.KtsSchedule(alpha0=args.alpha0, beta0=args.beta0,
                                    k=args.k, tau_split=args.tau_split)
-    field_fn = sampler.shaped_field(base, schedule)
     scfg = sampler.SolverConfig(method=args.solver, steps=args.steps,
                                 delta_cut=delta_cut, seed=args.seed)
-    trajs = sampler.sample_batch(field_fn, args.m, scfg, tau_split=args.tau_split,
+    trajs = sampler.sample_batch(base, args.m, scfg, tau_split=args.tau_split,
                                  meta={"field": label, "seed": args.seed,
-                                       "alpha0": args.alpha0, "beta0": args.beta0})
+                                       "alpha0": args.alpha0, "beta0": args.beta0},
+                                 schedules=(schedule,))
     os.makedirs(args.out, exist_ok=True)
     sampler.save_traces(trajs, os.path.join(args.out, "traces.csv"))
     _write_json(os.path.join(args.out, "summary.json"), sampler.batch_summary(trajs))
@@ -639,7 +675,8 @@ def _cmd_verify_theory(args) -> int:
     atoms_by_dim = {}
     for d in dims:
         if d == 2 and args.data:
-            atoms_by_dim[2] = datasets.load_csv(args.data).points[:args.atoms]
+            atoms_by_dim[2] = _theory_atoms(datasets.load_csv(args.data).points,
+                                            args.atoms, args.seed)
         else:
             atoms_by_dim[d] = 3.0 * rng.standard_normal((args.atoms, d))
     report = _theory_report(atoms_by_dim, [args.eps], seed=args.seed)
@@ -654,13 +691,7 @@ def _cmd_kts_sweep(args) -> int:
     data = datasets.load_csv(args.data)
     alpha_grid = [float(v) for v in args.alpha0_grid.split(",") if v]
     beta_grid = [float(v) for v in args.beta0_grid.split(",") if v]
-    if args.heldout:
-        heldout = datasets.load_csv(args.heldout).points
-    elif data.kind != "unknown":
-        heldout = datasets.generate(data.kind, _heldout_n(args.m), args.seed + 1).points
-    else:
-        raise ValueError("--heldout is required when the dataset kind "
-                         "cannot be inferred from the CSV")
+    heldout = datasets.load_csv(args.heldout).points
     cfg = ExperimentConfig(
         solver=SolverStageConfig(method=args.solver, steps=args.steps,
                                  m=args.m, seed=args.seed))

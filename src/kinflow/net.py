@@ -258,9 +258,11 @@ def save_checkpoint(params: MlpParams, path) -> None:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         entries.append({"name": f"w{i}", "shape": list(w.shape), "data": w.ravel().tolist()})
         entries.append({"name": f"b{i}", "shape": list(b.shape), "data": b.ravel().tolist()})
+    # one json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python one and writes the same bytes about 1.7x slower
     with open(path, "w") as fh:
-        json.dump({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
-                   "tensors": entries}, fh)
+        fh.write(json.dumps({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
+                             "tensors": entries}))
 
 
 def load_checkpoint(path) -> MlpParams:

@@ -11,7 +11,9 @@ kinetic path energy is the half-sum of power times the step width.
 
 Kinetic trajectory shaping rescales a base field by a time-dependent gain:
 a linearly decaying boost before ``tau_split`` and an exponentially growing
-damping after it, continuous at the split.
+damping after it, continuous at the split.  The sampler applies the gain
+itself, so a whole grid of gain schedules shares one base-field call per
+solver stage per step.
 """
 
 from __future__ import annotations
@@ -85,21 +87,6 @@ def kts_eta(s: KtsSchedule, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class ShapedField:
-    """Wrap a base field so that v~(x, t) = eta(t) * base(x, t)."""
-
-    base: VelocityField
-    schedule: KtsSchedule
-
-    def __call__(self, x, t: float) -> np.ndarray:
-        return kts_eta(self.schedule, t) * self.base(x, t)
-
-
-def shaped_field(base: VelocityField, s: KtsSchedule) -> ShapedField:
-    return ShapedField(base, s)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One integrated path with its power trace and accumulated energy.
 
@@ -134,28 +121,43 @@ class Trajectory:
 
 
 def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
-                    tau_split: float, meta: dict | None):
-    """Advance the (m, d) rows of ``x0`` together: one field call per solver
-    stage per step, on the rows still finite.  Returns the trajectories (row
-    views of one (m, N+1, d) buffer; valid only without failures) and the
-    sorted (row, step) pairs at which rows turned non-finite."""
+                    tau_split: float, meta: dict | None,
+                    schedules: Sequence[KtsSchedule] | None = None):
+    """Advance the (m, d) starts ``x0`` together, once per gain schedule: row
+    c*m + i starts at x0[i] and follows eta_c(t) * field(x, t) (the field
+    itself when ``schedules`` is None).  One field call per solver stage per
+    step, on the rows still finite; each row's gain multiplies its velocity
+    before the finiteness check.  Returns the trajectories (row views of one
+    (C*m, N+1, d) buffer; valid only without failures) and the sorted
+    (row, step) pairs at which rows turned non-finite."""
     m, dim = x0.shape
     dt = (1.0 - cfg.delta_cut) / cfg.steps
     times = np.linspace(0.0, 1.0 - cfg.delta_cut, cfg.steps + 1)
+    gain = None
+    if schedules is not None:
+        x0 = np.tile(x0, (len(schedules), 1))
+        # gain[c, j, k]: schedule c's eta at stage k of step j
+        offsets = (0.0, 0.5 * dt) if cfg.method == "midpoint" else (0.0,)
+        gain = np.array([[[kts_eta(s, t + h) for h in offsets] for t in times[:-1]]
+                         for s in schedules])
 
-    def call(x, t):
-        return np.broadcast_to(field_fn(x, t), x.shape).astype(np.float64)
+    def call(x, t, rows, j, k):
+        v = np.broadcast_to(field_fn(x, t), x.shape).astype(np.float64)
+        if gain is not None:
+            v *= gain[rows // m, j, k][:, None]
+        return v
 
-    states = np.empty((m, cfg.steps + 1, dim))
-    velocities = np.empty((m, cfg.steps, dim))
+    n = len(x0)
+    states = np.empty((n, cfg.steps + 1, dim))
+    velocities = np.empty((n, cfg.steps, dim))
     states[:, 0] = x = x0
-    rows, failures = np.arange(m), []
+    rows, failures = np.arange(n), []
     for j, t in enumerate(times[:-1]):
-        v = call(x, t)
+        v = call(x, t, rows, j, 0)
         if cfg.method == "midpoint":
             ok = np.isfinite(v).all(axis=1)
             if ok.any():
-                v[ok] = call(x[ok] + 0.5 * dt * v[ok], t + 0.5 * dt)
+                v[ok] = call(x[ok] + 0.5 * dt * v[ok], t + 0.5 * dt, rows[ok], j, 1)
         x = x + dt * v
         velocities[rows, j], states[rows, j + 1] = v, x
         ok = np.isfinite(v).all(axis=1) & np.isfinite(x).all(axis=1)
@@ -188,18 +190,28 @@ def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
 
 def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
                  tau_split: float = 0.6, dim: int = 2,
-                 meta: dict | None = None) -> list[Trajectory]:
+                 meta: dict | None = None,
+                 schedules: Sequence[KtsSchedule] | None = None) -> list[Trajectory]:
     """Integrate ``m`` trajectories from i.i.d. standard-normal starts.
 
     Initial states come from per-trajectory child streams of ``cfg.seed``
     (stream i = SeedSequence(seed).spawn(m)[i]), so results do not depend on
     execution order.  All failures are collected before raising.
+
+    With ``schedules`` (s_0, ..., s_{C-1}) the m starts are integrated once
+    under each shaped field eta_c(t) * field(x, t), all C*m rows in the same
+    field calls: steps x stages calls whatever C*m is.  The result holds C
+    blocks of m trajectories in schedule order; trajectory c*m + i (its id in
+    ``failures`` too) is start i under schedule c.  ``tau_split`` splits the
+    energy of every row, whatever the schedules' own splits.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if schedules is not None and not len(schedules):
+        raise ValueError("schedules must hold at least one KtsSchedule")
     x0 = np.stack([np.random.default_rng(ss).standard_normal(dim)
                    for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
-    trajs, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta)
+    trajs, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta, schedules)
     if failures:
         err = IntegrationDiverged(failures[0][1], failures[0][0])
         err.failures = [(i, IntegrationDiverged(step, i)) for i, step in failures]

@@ -239,21 +239,22 @@ def test_criterion_4_kts_directions(ci_models):
     """Early boost raises early energy, late damping lowers late energy, and
     damping does not increase memorization."""
     data, params = ci_models("dense_sparse")
-    base = kf.NeuralVelocityField(params)
     cfg = kf.SolverConfig(method="euler", steps=CI_STEPS, delta_cut=0.0,
                           seed=SOLVER_SEED)
     grid = [0.0, 0.01, 0.02]
+    cells = [(a0, b0) for a0 in grid for b0 in grid]
+    trajs = kf.sample_batch(kf.NeuralVelocityField(params), CI_M, cfg,
+                            schedules=[kf.KtsSchedule(alpha0=a0, beta0=b0)
+                                       for a0, b0 in cells])
     early = {}
     late = {}
     fmem = {}
-    for a0 in grid:
-        for b0 in grid:
-            schedule = kf.KtsSchedule(alpha0=a0, beta0=b0)
-            trajs = kf.sample_batch(kf.shaped_field(base, schedule), CI_M, cfg)
-            early[a0, b0] = float(np.mean([t.kpe_early for t in trajs]))
-            late[a0, b0] = float(np.mean([t.kpe_late for t in trajs]))
-            fmem[a0, b0] = kf.f_mem(np.array([t.endpoint for t in trajs]),
-                                    data.points).f_mem
+    for c, cell in enumerate(cells):
+        block = trajs[c * CI_M:(c + 1) * CI_M]
+        early[cell] = float(np.mean([t.kpe_early for t in block]))
+        late[cell] = float(np.mean([t.kpe_late for t in block]))
+        fmem[cell] = kf.f_mem(np.array([t.endpoint for t in block]),
+                              data.points).f_mem
 
     early_ok = all(early[grid[i], b] <= early[grid[i + 1], b] + 1e-12
                    for b in grid for i in range(2))

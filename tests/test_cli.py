@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,16 +26,23 @@ def tiny_artifacts(tmp_path_factory):
     """A tiny but complete data/model/traces tree shared across CLI tests."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data.csv"
+    heldout = root / "heldout.csv"
     model = root / "model.ckpt"
     traces = root / "traces"
     assert main(["gen-data", "--kind", "dense_sparse", "--n", "60",
                  "--seed", "7", "--out", str(data)]) == EXIT_OK
+    assert main(["gen-data", "--kind", "dense_sparse", "--n", "10",
+                 "--seed", "8", "--out", str(heldout)]) == EXIT_OK
+    shared = ({tuple(p) for p in datasets.load_csv(data).points}
+              & {tuple(p) for p in datasets.load_csv(heldout).points})
+    assert not shared
     assert main(["train", "--data", str(data), "--iters", "40",
                  "--batch", "32", "--seed", "1", "--out", str(model)]) == EXIT_OK
     assert main(["sample", "--model", str(model), "--solver", "euler",
                  "--steps", "10", "--m", "40", "--seed", "5",
                  "--out", str(traces)]) == EXIT_OK
-    return {"root": root, "data": data, "model": model, "traces": traces}
+    return {"root": root, "data": data, "heldout": heldout, "model": model,
+            "traces": traces}
 
 
 class TestGenData:
@@ -131,6 +140,24 @@ class TestVerifyTheoryCommand:
         assert code == EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
         assert report["all_passed"]
 
+    def test_data_atoms_are_the_verify_stage_subsample(self, tmp_path):
+        # the first 50 points of dense_sparse n=500 seed 7 are all dense-core
+        # atoms, among which no sampled point passes the dominance filter
+        cfg = ExperimentConfig.from_dict(
+            {"dataset": {"kind": "dense_sparse", "n": 500, "seed": 7},
+             "solver": {"m": 10}})
+        stage_gen(cfg, str(tmp_path))
+        data = str(tmp_path / "data.csv")
+        out = tmp_path / "theory.json"
+        assert main(["verify-theory", "--data", data, "--dims", "2",
+                     "--atoms", "50", "--out", str(out)]) == EXIT_OK
+        assert sum(b["n_checked"] for b in json.loads(out.read_text())["bounds"]) > 0
+        # with the dataset's seed it checks exactly what the pipeline stage does
+        assert main(["verify-theory", "--data", data, "--dims", "2", "--atoms", "50",
+                     "--seed", "7", "--out", str(out)]) == EXIT_OK
+        stage_verify(cfg, str(tmp_path))
+        assert out.read_bytes() == (tmp_path / "theory_report.json").read_bytes()
+
 
 class TestVerifyStage:
     def test_checks_points_on_dense_sparse_seed_7(self, tmp_path):
@@ -169,6 +196,7 @@ class TestKtsSweepCommand:
         out = tmp_path / "sweep.csv"
         code = main(["kts-sweep", "--model", str(tiny_artifacts["model"]),
                      "--data", str(tiny_artifacts["data"]),
+                     "--heldout", str(tiny_artifacts["heldout"]),
                      "--alpha0-grid", "0", "--beta0-grid", "0",
                      "--steps", "10", "--m", "8", "--out", str(out)])
         assert code == EXIT_OK
@@ -181,11 +209,24 @@ class TestKtsSweepCommand:
         out = tmp_path / "sweep4.csv"
         code = main(["kts-sweep", "--model", str(tiny_artifacts["model"]),
                      "--data", str(tiny_artifacts["data"]),
+                     "--heldout", str(tiny_artifacts["heldout"]),
                      "--alpha0-grid", "0,0.02", "--beta0-grid", "0,0.02",
                      "--steps", "10", "--m", "8", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 1 + 4  # header + baseline + 2x2 grid
+
+    def test_heldout_is_required(self, tiny_artifacts, tmp_path, capsys):
+        # a held-out set generated from the solver seed could repeat the
+        # training points, and a data CSV carries no seed to derive a safe one
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["kts-sweep", "--model", str(tiny_artifacts["model"]),
+                  "--data", str(tiny_artifacts["data"]),
+                  "--steps", "10", "--m", "8", "--out", str(out)])
+        assert err.value.code == EXIT_INVALID_CONFIG
+        assert "--heldout" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCommand:
@@ -291,6 +332,21 @@ class TestRunPipeline:
         from kinflow.cli import StageFailure
         with pytest.raises(StageFailure):
             run_pipeline(ExperimentConfig.from_dict(TINY), str(outdir))
+        # a lock held by a live process stays in place
+        (outdir / ".lock").write_text(f"{os.getpid()}\n")
+        with pytest.raises(StageFailure, match=f"pid {os.getpid()}"):
+            run_pipeline(ExperimentConfig.from_dict(TINY), str(outdir))
+        assert (outdir / ".lock").read_text() == f"{os.getpid()}\n"
+
+    def test_lock_of_a_dead_run_is_broken(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        outdir = tmp_path / "run"
+        outdir.mkdir()
+        (outdir / ".lock").write_text(f"{child.pid}\n")
+        manifest = run_pipeline(ExperimentConfig.from_dict(TINY), str(outdir))
+        assert not any(s["skipped"] for s in manifest["stages"].values())
+        assert not (outdir / ".lock").exists()
 
     def test_cli_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Tests for the MLP velocity field, its gradients, and AdamW training."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,20 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(params.biases, back.biases):
             assert np.array_equal(b1, b2)
+
+    def test_bytes_equal_streamed_json(self, tmp_path):
+        params = init_params(5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        tensors = []
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            tensors += [{"name": f"w{i}", "shape": list(w.shape), "data": w.ravel().tolist()},
+                        {"name": f"b{i}", "shape": list(b.shape), "data": b.ravel().tolist()}]
+        streamed = tmp_path / "streamed.ckpt"
+        with open(streamed, "w") as fh:
+            json.dump({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
+                       "tensors": tensors}, fh)
+        assert path.read_bytes() == streamed.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"

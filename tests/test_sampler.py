@@ -9,7 +9,7 @@ from kinflow.efm import EfmField
 from kinflow.net import NeuralVelocityField, init_params
 from kinflow.sampler import (IntegrationDiverged, KtsSchedule, SolverConfig,
                              batch_summary, integrate, kts_eta, load_traces,
-                             sample_batch, save_traces, shaped_field)
+                             sample_batch, save_traces)
 
 
 def constant_field(v):
@@ -19,6 +19,15 @@ def constant_field(v):
 
 def decay_field(x, t):
     return -np.asarray(x, dtype=float)
+
+
+def gained(field_fn, s):
+    """The shaped field eta(t) * field(x, t), written out apart from the sampler."""
+    return lambda x, t: kts_eta(s, t) * np.asarray(field_fn(x, t), dtype=float)
+
+
+GRID = (0.0, 0.01, 0.02)
+SWEEP = [KtsSchedule()] + [KtsSchedule(alpha0=a, beta0=b) for a in GRID for b in GRID]
 
 
 def loop_reference(field_fn, m, cfg, tau_split=0.6):
@@ -102,28 +111,35 @@ def test_accepted_gains_stay_positive(alpha0, beta0, k, tau_split):
 
 
 class TestShapedField:
+    """The shaped velocity eta(t) * base(x, t) that ``sample_batch``
+    integrates for each of its ``schedules``."""
+
     def test_zero_gains_bit_identical(self):
-        base = constant_field([0.3, -0.7])
-        shaped = shaped_field(base, KtsSchedule())
-        x = np.array([1.0, 2.0])
-        for t in (0.0, 0.3, 0.6, 0.99):
-            assert np.array_equal(shaped(x, t), base(x, t))
+        for method in ("euler", "midpoint"):
+            cfg = SolverConfig(method=method, steps=10, seed=1)
+            trajs = sample_batch(constant_field([0.3, -0.7]), 3, cfg,
+                                 schedules=(KtsSchedule(), KtsSchedule(k=1.0, tau_split=0.3)))
+            assert len(trajs) == 6
+            for traj in trajs:
+                assert np.array_equal(traj.velocities, np.tile([0.3, -0.7], (10, 1)))
 
     def test_scales_norm_pointwise(self):
         s = KtsSchedule(alpha0=0.2, beta0=0.05)
-        base = decay_field
-        shaped = shaped_field(base, s)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            t = rng.random()
-            assert np.linalg.norm(shaped(x, t)) == pytest.approx(
-                kts_eta(s, t) * np.linalg.norm(base(x, t)), rel=1e-15)
+        trajs = sample_batch(decay_field, 4, SolverConfig(steps=20, seed=0),
+                             schedules=(s,))
+        for traj in trajs:
+            for t, x, v in zip(traj.times, traj.states, traj.velocities):
+                assert np.linalg.norm(v) == pytest.approx(
+                    kts_eta(s, t) * np.linalg.norm(decay_field(x, t)), rel=1e-15)
 
     def test_zero_base_stays_zero(self):
-        shaped = shaped_field(constant_field([0.0, 0.0]),
-                              KtsSchedule(alpha0=0.5, beta0=0.3))
-        assert np.array_equal(shaped(np.ones(2), 0.2), np.zeros(2))
+        trajs = sample_batch(constant_field([0.0, 0.0]), 2,
+                             SolverConfig(method="midpoint", steps=8, seed=2),
+                             schedules=(KtsSchedule(alpha0=0.5, beta0=0.3),))
+        for traj in trajs:
+            assert np.array_equal(traj.velocities, np.zeros((8, 2)))
+            assert np.array_equal(traj.states[-1], traj.states[0])
+            assert traj.kpe == 0.0
 
 
 class TestIntegrate:
@@ -235,9 +251,11 @@ class TestSampleBatch:
     def test_zero_gain_shaping_is_bit_identical(self):
         cfg = SolverConfig(steps=30, seed=3)
         plain = sample_batch(decay_field, 3, cfg)
-        shaped = sample_batch(shaped_field(decay_field, KtsSchedule()), 3, cfg)
-        for ta, tb in zip(plain, shaped):
+        shaped = sample_batch(decay_field, 3, cfg,
+                              schedules=(KtsSchedule(), KtsSchedule(beta0=0.02)))
+        for ta, tb in zip(plain, shaped[:3]):
             assert np.array_equal(ta.states, tb.states)
+            assert np.array_equal(ta.velocities, tb.velocities)
             assert ta.kpe == tb.kpe
 
     def test_collects_failures(self):
@@ -251,6 +269,8 @@ class TestSampleBatch:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             sample_batch(decay_field, 0, SolverConfig())
+        with pytest.raises(ValueError, match="schedules"):
+            sample_batch(decay_field, 2, SolverConfig(), schedules=())
 
     def test_partial_divergence_leaves_other_rows_alone(self):
         cfg = SolverConfig(steps=10, seed=4)
@@ -303,14 +323,59 @@ class TestSampleBatch:
         sample_batch(field, 7, SolverConfig(method=method, steps=9, seed=2))
         assert calls == [(7, 2)] * (9 * stages)
 
+    @pytest.mark.parametrize("method, stages", [("euler", 1), ("midpoint", 2)])
+    def test_one_field_call_per_stage_per_step_over_schedules(self, method, stages):
+        calls = []
+
+        def field(x, t):
+            calls.append(x.shape)
+            return -x
+
+        trajs = sample_batch(field, 8, SolverConfig(method=method, steps=50, seed=2),
+                             schedules=SWEEP)
+        assert len(SWEEP) == 10 and len(trajs) == 80
+        assert calls == [(80, 2)] * (50 * stages)
+
+    def test_divergence_in_one_schedule_block(self):
+        cfg = SolverConfig(steps=10, seed=4)
+        schedules = (KtsSchedule(), KtsSchedule(alpha0=0.5), KtsSchedule(beta0=0.1))
+        m, c, i, step = 4, 1, 2, 3
+        solo = [[states for states, _, _ in loop_reference(gained(decay_field, s), m, cfg)]
+                for s in schedules]
+        seen = []
+
+        def field(x, t):
+            seen.append(x.copy())
+            v = -x
+            v[np.all(x == solo[c][i][step], axis=1)] = np.nan
+            return v
+
+        with pytest.raises(IntegrationDiverged) as err:
+            sample_batch(field, m, cfg, schedules=schedules)
+        row = c * m + i
+        assert [(r, e.step, e.trajectory) for r, e in err.value.failures] == \
+            [(row, step, row)]
+        assert (err.value.trajectory, err.value.step) == (row, step)
+        # every other row, in every block, was evaluated at every step in the
+        # state it reaches when integrated alone under its own schedule
+        assert len(seen) == cfg.steps
+        for j, x in enumerate(seen):
+            alive = [(b, k) for b in range(len(schedules)) for k in range(m)
+                     if (b, k) != (c, i) or j <= step]
+            assert np.array_equal(x, np.array([solo[b][k][j] for b, k in alive]))
+
 
 class TestBatchMatchesLoop:
     """The batched core against per-trajectory integration with B=1 calls."""
 
     @staticmethod
-    def assert_matches(field_fn, m, cfg):
-        trajs = sample_batch(field_fn, m, cfg)
-        for traj, (states, kpe, kpe_early) in zip(trajs, loop_reference(field_fn, m, cfg)):
+    def assert_matches(field_fn, m, cfg, schedules=None):
+        trajs = sample_batch(field_fn, m, cfg, schedules=schedules)
+        fields = [field_fn] if schedules is None else \
+            [gained(field_fn, s) for s in schedules]
+        want = [ref for f in fields for ref in loop_reference(f, m, cfg)]
+        assert len(trajs) == len(want)
+        for traj, (states, kpe, kpe_early) in zip(trajs, want):
             np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-12)
             assert traj.kpe == pytest.approx(kpe, rel=1e-12)
             assert traj.kpe_early == pytest.approx(kpe_early, rel=1e-12, abs=1e-300)
@@ -324,6 +389,19 @@ class TestBatchMatchesLoop:
         field_fn = EfmField(atoms, neighbors=30)
         cfg = SolverConfig(method="midpoint", steps=100, delta_cut=1e-3, seed=9)
         self.assert_matches(field_fn, 12, cfg)
+
+    def test_neural_euler_schedules(self):
+        field_fn = NeuralVelocityField(init_params(3))
+        cfg = SolverConfig(method="euler", steps=50, seed=8)
+        self.assert_matches(field_fn, 8, cfg, SWEEP)
+
+    def test_efm_top_k_midpoint_schedules(self):
+        atoms = np.random.default_rng(6).standard_normal((300, 2))
+        field_fn = EfmField(atoms, neighbors=30)
+        cfg = SolverConfig(method="midpoint", steps=100, delta_cut=1e-3, seed=9)
+        schedules = (KtsSchedule(alpha0=0.3, beta0=0.1, k=2.0, tau_split=0.45),
+                     KtsSchedule(), KtsSchedule(alpha0=0.02, beta0=0.02))
+        self.assert_matches(field_fn, 6, cfg, schedules)
 
 
 class TestSolverConfig:
