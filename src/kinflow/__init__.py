@@ -10,14 +10,14 @@ memorization fraction, exact W2).
 
 from .datasets import (DATASET_KINDS, KdeEstimator, LabeledDataset,
                        gen_dense_sparse, gen_multiscale_clusters, gen_sandwich,
-                       generate, kde_density, load_csv, save_csv)
+                       generate, load_csv, save_csv)
 from .diagnostics import (KpeDensityReport, MemorizationReport,
                           UndefinedStatistic, cliffs_delta, cohens_d, exact_w2,
                           f_mem, knn_density, kpe_density_report,
                           mann_whitney_u, spearman)
 from .efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                  efm_velocity, general_velocity, linear_schedule,
-                  mixture_log_density, mixture_score, posterior_weights)
+                  general_velocity, linear_schedule, mixture_log_density,
+                  mixture_score, posterior_weights)
 from .net import (MlpParams, NeuralVelocityField, TrainConfig, TrainResult,
                   TrainingDiverged, cfm_loss_grad, forward, init_params,
                   load_checkpoint, save_checkpoint, time_encoding, train)

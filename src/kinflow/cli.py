@@ -178,15 +178,20 @@ def _solver_config(solver: SolverStageConfig) -> sampler.SolverConfig:
                                 delta_cut=solver.delta_cut, seed=solver.seed)
 
 
+def _sample_meta(label: str, seed: int, schedule: sampler.KtsSchedule) -> dict:
+    """The ``solver`` block fields a sampling run adds to its summary."""
+    return {"field": label, "seed": seed, "alpha0": schedule.alpha0,
+            "beta0": schedule.beta0, "k": schedule.k}
+
+
 def stage_sample(cfg: ExperimentConfig, outdir: str) -> dict:
     params = net.load_checkpoint(os.path.join(outdir, "model.ckpt"))
+    schedule = sampler.KtsSchedule(**asdict(cfg.kts))
     trajs = sampler.sample_batch(net.NeuralVelocityField(params), cfg.solver.m,
                                  _solver_config(cfg.solver),
                                  tau_split=cfg.kts.tau_split,
-                                 meta={"field": "neural", "seed": cfg.solver.seed,
-                                       "alpha0": cfg.kts.alpha0,
-                                       "beta0": cfg.kts.beta0},
-                                 schedules=(sampler.KtsSchedule(**asdict(cfg.kts)),))
+                                 meta=_sample_meta("neural", cfg.solver.seed, schedule),
+                                 schedules=(schedule,))
     traces_path = os.path.join(outdir, "traces.csv")
     summary_path = os.path.join(outdir, "summary.json")
     sampler.save_traces(trajs, traces_path)
@@ -641,8 +646,7 @@ def _cmd_sample(args) -> int:
     scfg = sampler.SolverConfig(method=args.solver, steps=args.steps,
                                 delta_cut=delta_cut, seed=args.seed)
     trajs = sampler.sample_batch(base, args.m, scfg, tau_split=args.tau_split,
-                                 meta={"field": label, "seed": args.seed,
-                                       "alpha0": args.alpha0, "beta0": args.beta0},
+                                 meta=_sample_meta(label, args.seed, schedule),
                                  schedules=(schedule,))
     os.makedirs(args.out, exist_ok=True)
     sampler.save_traces(trajs, os.path.join(args.out, "traces.csv"))

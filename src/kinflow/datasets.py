@@ -203,11 +203,6 @@ class KdeEstimator:
         return float(out[0]) if single else out
 
 
-def kde_density(est: KdeEstimator, q) -> float | np.ndarray:
-    """Functional form of :meth:`KdeEstimator.density`."""
-    return est.density(q)
-
-
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write ``x,y,stratum`` rows using shortest round-trip decimal encoding."""
     with open(path, "w", newline="") as fh:

@@ -28,6 +28,10 @@ import numpy as np
 #: clamp applied to t inside density/score evaluation (not velocity scaling)
 T_CLAMP = 1e-9
 
+#: row x atom elements per block of the closed-form kernel: a block's
+#: (rows, N) float64 work arrays (512 KiB each) stay in cache
+BLOCK_ELEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class GammaSchedule:
@@ -90,34 +94,73 @@ class MixtureModel:
         return mus, sigma2
 
 
-def _log_weights(m: MixtureModel, z: np.ndarray, t: float) -> np.ndarray:
-    mus, sigma2 = m._bridge(t)
-    d2 = ((z[None, :] - mus) ** 2).sum(axis=1)
-    return -d2 / (2.0 * sigma2)
+def _bridge_d2(xs: np.ndarray, atoms: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
+    """||x_b - scale * x_i||^2 of the (B, d) queries against the (N, d) atoms,
+    written into ``out`` (B, N); ``scale`` is a scalar or a (B, 1) column.
+
+    Direct differences, squared and summed coordinate by coordinate: the
+    expanded quadratic form cancels badly once (1 - t)^2 is small.  For
+    d < 8 the sum is bitwise numpy's ``.sum(axis=1)`` of the squares.
+    """
+    part = np.empty_like(out) if atoms.shape[1] > 1 else None
+    for k in range(atoms.shape[1]):
+        dst = out if k == 0 else part
+        np.multiply(scale, atoms[:, k], out=dst)
+        np.subtract(xs[:, k, None], dst, out=dst)
+        np.square(dst, out=dst)
+        if k:
+            out += part
+    return out
+
+
+def _queries(z) -> tuple[np.ndarray, bool]:
+    """A (d,) point or (B, d) batch as (B, d) rows, and whether it was one point."""
+    z = np.asarray(z, dtype=np.float64)
+    return z.reshape(-1, z.shape[-1]), z.ndim == 1
+
+
+def _log_weights(m: MixtureModel, zs: np.ndarray, t: float) -> np.ndarray:
+    """Unnormalized log responsibilities of the (B, d) queries, (B, N)."""
+    tc = min(max(t, T_CLAMP), 1.0 - T_CLAMP)
+    g = m.schedule.gamma(tc)
+    logw = _bridge_d2(zs, m.atoms, g, np.empty((len(zs), m.n_atoms)))
+    np.negative(logw, out=logw)
+    logw /= 2.0 * (1.0 - g) ** 2
+    return logw
 
 
 def posterior_weights(m: MixtureModel, x, t: float) -> np.ndarray:
     """Softmax responsibilities lambda_i(x, t), max-subtracted for stability.
 
-    Sums to 1 up to floating-point rounding; each entry lies in [0, 1].
+    ``x`` is one (d,) point, giving (N,) weights, or a (B, d) batch at the
+    same t, giving (B, N).  Each row sums to 1 up to floating-point rounding;
+    each entry lies in [0, 1].
     """
     t = _check_unit_interval(t)
-    x = np.asarray(x, dtype=np.float64)
-    logw = _log_weights(m, x, t)
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+    xs, single = _queries(x)
+    w = _log_weights(m, xs, t)
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w[0] if single else w
 
 
-def mixture_log_density(m: MixtureModel, z, t: float) -> float:
-    """log p_t(z) of the intermediate mixture via log-sum-exp; always finite."""
+def mixture_log_density(m: MixtureModel, z, t: float) -> float | np.ndarray:
+    """log p_t(z) of the intermediate mixture via log-sum-exp; always finite.
+
+    A float for one (d,) point, a (B,) array for a (B, d) batch at the same t.
+    """
     t = _check_unit_interval(t)
-    z = np.asarray(z, dtype=np.float64)
+    zs, single = _queries(z)
     _, sigma2 = m._bridge(t)
-    logw = _log_weights(m, z, t)
-    peak = logw.max()
-    lse = peak + np.log(np.exp(logw - peak).sum())
+    logw = _log_weights(m, zs, t)
+    peak = logw.max(axis=1, keepdims=True)
+    logw -= peak
+    np.exp(logw, out=logw)
+    lse = peak[:, 0] + np.log(logw.sum(axis=1))
     d = m.dim
-    return float(lse - np.log(m.n_atoms) - 0.5 * d * np.log(2.0 * np.pi * sigma2))
+    out = lse - np.log(m.n_atoms) - 0.5 * d * np.log(2.0 * np.pi * sigma2)
+    return float(out[0]) if single else out
 
 
 def mixture_score(m: MixtureModel, z, t: float) -> np.ndarray:
@@ -148,16 +191,19 @@ def general_velocity(m: MixtureModel, z, t: float) -> np.ndarray:
     return alpha * mixture_score(m, z, t) + beta * z
 
 
-def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None:
+def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None | list[int | None]:
     """Index of the component with lambda >= 1 - eps, or None if there is none.
 
-    Ties resolve to the lowest index.
+    Ties resolve to the lowest index.  For a (B, d) batch at the same t, a
+    list of B such results.
     """
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    lam = posterior_weights(m, z, t)
-    i_star = int(np.argmax(lam))
-    return i_star if lam[i_star] >= 1.0 - eps else None
+    lam = np.atleast_2d(posterior_weights(m, z, t))
+    i_star = lam.argmax(axis=1)
+    ok = lam[np.arange(len(lam)), i_star] >= 1.0 - eps
+    out = [int(i) if keep else None for i, keep in zip(i_star, ok)]
+    return out if np.ndim(z) == 2 else out[0]
 
 
 @dataclass(frozen=True)
@@ -200,25 +246,33 @@ class EfmField:
 def _efm_rows(atoms: np.ndarray, xs: np.ndarray, t, neighbors: int | None) -> np.ndarray:
     """Velocities of the (B, d) queries ``xs`` at one time ``t`` or one per row.
 
-    Bridge distances are direct differences, summed coordinate by coordinate
-    into (B, N) arrays: the expanded quadratic form cancels badly once
-    (1 - t)^2 is small.
+    The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
+    elements, each built in place, so that no (rows, N) array outgrows the
+    cache.  Top-K rows do not depend on the blocking; a full-softmax row's
+    ``w @ atoms`` product may differ in the last bit from one whole-array
+    product, since BLAS results can depend on the number of rows.
     """
     t = np.asarray(t, dtype=np.float64)
-    tb = t[:, None] if t.ndim else t
-    tc = np.clip(tb, T_CLAMP, 1.0 - T_CLAMP)
-    d2 = sum((xs[:, k, None] - tc * atoms[:, k]) ** 2 for k in range(atoms.shape[1]))
-    logw = -d2 / (2.0 * (1.0 - tc) ** 2)
-    truncate = neighbors is not None and neighbors < len(atoms)
-    if truncate:
-        kept = np.argpartition(d2, neighbors - 1, axis=1)[:, :neighbors]
-        logw = np.take_along_axis(logw, kept, axis=1)
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    targets = np.einsum("bk,bkd->bd", w, atoms[kept]) if truncate else w @ atoms
-    return (targets - xs) / (1.0 - tb)
-
-
-def efm_velocity(f: EfmField, x, t: float) -> np.ndarray:
-    """Functional form of :meth:`EfmField.__call__`."""
-    return f(x, t)
+    n_rows, n_atoms = len(xs), len(atoms)
+    truncate = neighbors is not None and neighbors < n_atoms
+    blocks = -(-n_rows // max(1, BLOCK_ELEMS // n_atoms))
+    step = -(-n_rows // blocks) if n_rows else 1
+    d2_buf = np.empty((min(step, n_rows), n_atoms))
+    out = np.empty(xs.shape)
+    for lo in range(0, n_rows, step):
+        x = xs[lo:lo + step]
+        tb = t[lo:lo + step, None] if t.ndim else t
+        tc = np.clip(tb, T_CLAMP, 1.0 - T_CLAMP)
+        logw = d2 = _bridge_d2(x, atoms, tc, d2_buf[:len(x)])
+        if truncate:
+            kept = np.argpartition(d2, neighbors - 1, axis=1)[:, :neighbors]
+            logw = np.take_along_axis(d2, kept, axis=1)
+        np.negative(logw, out=logw)
+        logw /= 2.0 * (1.0 - tc) ** 2
+        logw -= logw.max(axis=1, keepdims=True)
+        w = np.exp(logw, out=logw)
+        w /= w.sum(axis=1, keepdims=True)
+        targets = np.einsum("bk,bkd->bd", w, atoms[kept]) if truncate else w @ atoms
+        targets -= x
+        np.divide(targets, 1.0 - tb, out=out[lo:lo + step])
+    return out

@@ -18,7 +18,7 @@ solver stage per step.
 
 from __future__ import annotations
 
-import csv
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -224,36 +224,41 @@ def save_traces(trajectories: Sequence[Trajectory], path) -> None:
 
     Row j of a trajectory holds the state at grid point j; its power column is
     the power of the step that produced it (0 for the initial row), and
-    cum_kpe is the energy accumulated up to that grid point.
+    cum_kpe is the energy accumulated up to that grid point.  Floats are
+    written as their shortest round-trip ``repr`` and rows end in ``\\r\\n``,
+    as ``csv.writer`` writes them.
     """
+    ids, cols = [], []
+    for tid, traj in enumerate(trajectories):
+        ids += [tid] * len(traj.times)
+        cols.append(np.column_stack([traj.times, traj.states[:, 0], traj.states[:, 1],
+                                     np.concatenate([[0.0], traj.power]),
+                                     traj.cum_kpe()]))
+    table = np.concatenate(cols).tolist() if cols else []
+    row = "%d,%r,%r,%r,%r,%r\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for tid, traj in enumerate(trajectories):
-            cum = traj.cum_kpe()
-            stepped = np.concatenate([[0.0], traj.power])
-            for j, (t, st) in enumerate(zip(traj.times, traj.states)):
-                writer.writerow([tid, repr(float(t)), repr(float(st[0])),
-                                 repr(float(st[1])), repr(float(stepped[j])),
-                                 repr(float(cum[j]))])
+        fh.write(",".join(TRACE_HEADER) + "\r\n"
+                 + "".join([row % (tid, *vals) for tid, vals in zip(ids, table)]))
 
 
 def load_traces(path) -> list[dict]:
-    """Read a trace file into one dict of arrays per trajectory."""
-    rows: dict[int, list[tuple]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_HEADER:
+    """Read a trace file into one dict of arrays per trajectory, in id order."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if tuple(header) != TRACE_HEADER:
             raise ValueError(f"expected header {','.join(TRACE_HEADER)!r}, got {header}")
-        for row in reader:
-            rows.setdefault(int(row[0]), []).append(tuple(float(v) for v in row[1:]))
-    out = []
-    for tid in sorted(rows):
-        arr = np.array(rows[tid])
-        out.append({"traj_id": tid, "t": arr[:, 0], "x": arr[:, 1], "y": arr[:, 2],
-                    "power": arr[:, 3], "cum_kpe": arr[:, 4]})
-    return out
+        body = fh.read()
+    if not body.strip():
+        return []
+    table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    # a stable sort keeps each trajectory's rows in file order
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    ids, starts = np.unique(table[:, 0], return_index=True)
+    if not np.array_equal(ids, np.trunc(ids)):
+        raise ValueError("traj_id values must be integers")
+    return [{"traj_id": int(tid), "t": arr[:, 1], "x": arr[:, 2], "y": arr[:, 3],
+             "power": arr[:, 4], "cum_kpe": arr[:, 5]}
+            for tid, arr in zip(ids, np.split(table, starts[1:]))]
 
 
 def batch_summary(trajectories: Sequence[Trajectory], extra: dict | None = None) -> dict:

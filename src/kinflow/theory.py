@@ -134,29 +134,33 @@ def check_energy_density_bounds(m: MixtureModel, points, eps: float,
     as failures.  A bound counts as violated only beyond ``rel_slack``
     relative to the bound's own scale.
     """
-    report = BoundCheckReport()
-    for z, t in points:
-        z = np.asarray(z, dtype=np.float64)
-        lam = posterior_weights(m, z, t)
-        i_star = int(np.argmax(lam))
-        if lam[i_star] < 1.0 - eps:
-            report.entries.append(BoundCheckEntry(
-                z, t, None, float(lam[i_star]), np.nan, np.nan, np.nan, np.nan,
-                passed=False, skipped="dominance"))
-            continue
-        consts = bound_constants(m, t, i_star, eps)
-        nld = -mixture_log_density(m, z, t)
-        u = general_velocity(m, z, t)
-        energy = float(u @ u)
-        lower = consts.lower_slope * nld - consts.offset
-        upper = consts.upper_slope * nld + consts.offset
-        tol_lo = rel_slack * max(1.0, abs(lower), energy)
-        tol_hi = rel_slack * max(1.0, abs(upper), energy)
-        ok = (energy >= lower - tol_lo) and (energy <= upper + tol_hi)
-        report.entries.append(BoundCheckEntry(
-            z, t, i_star, float(lam[i_star]), nld, energy,
-            float(lower), float(upper), passed=ok))
-    return report
+    entries: list[BoundCheckEntry | None] = [None] * len(points)
+    by_time: dict[float, list[int]] = {}
+    for j, (_, t) in enumerate(points):
+        by_time.setdefault(t, []).append(j)
+    for t, idx in by_time.items():
+        zs = np.array([points[j][0] for j in idx], dtype=np.float64)
+        lam = posterior_weights(m, zs, t)
+        nlds = -mixture_log_density(m, zs, t)
+        for j, z, lam_z, nld in zip(idx, zs, lam, nlds.tolist()):
+            i_star = int(np.argmax(lam_z))
+            if lam_z[i_star] < 1.0 - eps:
+                entries[j] = BoundCheckEntry(
+                    z, t, None, float(lam_z[i_star]), np.nan, np.nan, np.nan, np.nan,
+                    passed=False, skipped="dominance")
+                continue
+            consts = bound_constants(m, t, i_star, eps)
+            u = general_velocity(m, z, t)
+            energy = float(u @ u)
+            lower = consts.lower_slope * nld - consts.offset
+            upper = consts.upper_slope * nld + consts.offset
+            tol_lo = rel_slack * max(1.0, abs(lower), energy)
+            tol_hi = rel_slack * max(1.0, abs(upper), energy)
+            ok = (energy >= lower - tol_lo) and (energy <= upper + tol_hi)
+            entries[j] = BoundCheckEntry(
+                z, t, i_star, float(lam_z[i_star]), nld, energy,
+                float(lower), float(upper), passed=ok)
+    return BoundCheckReport(entries)
 
 
 def check_local_gaussian_remainder(m: MixtureModel, z, t: float, eps: float,
@@ -404,9 +408,7 @@ def sample_dominant_points(m: MixtureModel, ts, eps: float, per_time: int,
         sig = np.sqrt(sigma2)
         idx = rng.integers(0, m.n_atoms, per_time)
         zs = mus[idx] + sig * rng.standard_normal((per_time, m.dim))
-        for z in zs:
-            if dominance(m, z, t, eps) is None:
-                rejected += 1
-            else:
-                points.append((z, float(t)))
+        dominant = dominance(m, zs, t, eps)
+        points += [(z, float(t)) for z, i in zip(zs, dominant) if i is not None]
+        rejected += dominant.count(None)
     return points, rejected

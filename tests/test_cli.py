@@ -112,6 +112,18 @@ class TestSampleCommand:
         assert (a / "traces.csv").read_bytes() == (b / "traces.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_landing_rate_is_recorded(self, tiny_artifacts, tmp_path):
+        blocks = {}
+        for k in ("2", "3"):
+            out = tmp_path / f"k{k}"
+            assert main(["sample", "--efm", str(tiny_artifacts["data"]),
+                         "--beta0", "0.02", "--k", k, "--solver", "midpoint",
+                         "--steps", "20", "--m", "6", "--seed", "2",
+                         "--out", str(out)]) == EXIT_OK
+            blocks[k] = json.loads((out / "summary.json").read_text())["solver"]
+        assert blocks["2"]["k"] == 2.0 and blocks["3"]["k"] == 3.0
+        assert blocks["2"] != blocks["3"]
+
 
 class TestDiagnoseCommand:
     def test_report_schema(self, tiny_artifacts, tmp_path):
@@ -284,6 +296,12 @@ class TestRunPipeline:
             for path in stage["outputs"].values():
                 assert os.path.exists(path)
         assert (outdir / "run_manifest.json").exists()
+
+    def test_summary_records_landing_rate(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({**TINY, "kts": {"beta0": 0.01, "k": 2.5}})
+        run_pipeline(cfg, str(tmp_path / "run"))
+        solver = json.loads((tmp_path / "run" / "summary.json").read_text())["solver"]
+        assert (solver["alpha0"], solver["beta0"], solver["k"]) == (0.0, 0.01, cfg.kts.k)
 
     def test_rerun_skips_everything(self, tmp_path):
         cfg = ExperimentConfig.from_dict(TINY)

@@ -6,7 +6,7 @@ import pytest
 from kinflow import datasets
 from kinflow.datasets import (KdeEstimator, gen_dense_sparse,
                               gen_multiscale_clusters, gen_sandwich, generate,
-                              infer_kind, kde_density, load_csv, save_csv)
+                              infer_kind, load_csv, save_csv)
 
 
 class TestDenseSparse:
@@ -111,7 +111,7 @@ class TestKde:
     def test_single_reference_at_origin(self):
         est = KdeEstimator(np.zeros((1, 2)), 0.1)
         expected = 1.0 / (2 * np.pi * 0.01)
-        assert kde_density(est, np.zeros(2)) == pytest.approx(expected, rel=1e-12)
+        assert est.density(np.zeros(2)) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decay(self):
         est = KdeEstimator(np.zeros((1, 2)), 0.1)

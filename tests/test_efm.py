@@ -1,13 +1,16 @@
 """Tests for the mixture, its score, and the closed-form velocity field."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinflow import efm
 from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                         efm_velocity, general_velocity, linear_schedule,
-                         mixture_log_density, mixture_score, posterior_weights)
+                         general_velocity, linear_schedule, mixture_log_density,
+                         mixture_score, posterior_weights)
 
 
 def mix(atoms, schedule=None):
@@ -131,6 +134,131 @@ class TestEfmVelocity:
         ts = 1.0 - np.geomspace(1e-6, 1.0, 300)
         want = [float(f(x, t) @ f(x, t)) for t in ts]
         np.testing.assert_allclose(_efm_speed2_over_times(f, x, ts), want, rtol=1e-12)
+
+
+def loop_rows(atoms, xs, ts, neighbors):
+    """Velocities one row at a time, by the unblocked kernel's formula: direct
+    differences summed coordinate by coordinate, softmax over the K nearest
+    (kept in ``argpartition`` order) or over all atoms."""
+    out = []
+    for x, t in zip(xs, np.broadcast_to(ts, len(xs))):
+        tc = min(max(t, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
+        d2 = sum((x[k] - tc * atoms[:, k]) ** 2 for k in range(atoms.shape[1]))
+        logw = -d2 / (2.0 * (1.0 - tc) ** 2)
+        if neighbors is None:
+            w = np.exp(logw - logw.max())
+            target = w / w.sum() @ atoms
+        else:
+            kept = np.argpartition(d2[None], neighbors - 1, axis=1)[:, :neighbors]
+            lw = np.take_along_axis(logw[None], kept, axis=1)
+            w = np.exp(lw - lw.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            target = np.einsum("bk,bkd->bd", w, atoms[kept])[0]
+        out.append((target - x) / (1.0 - t))
+    return np.array(out)
+
+
+class TestBlockedKernel:
+    # with N = 512 atoms, B = 127, 128 and 129 put B * N just below, at and
+    # just above the block size
+    N = 512
+    ROWS = (1, 31, 40, 65, 200, 127, 128, 129)
+
+    def test_block_size(self):
+        assert efm.BLOCK_ELEMS == 128 * self.N
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.999])
+    def test_top_k_bitwise_equals_row_loop(self, t, d):
+        rng = np.random.default_rng(20 + d)
+        atoms = rng.standard_normal((self.N, d))
+        for b in self.ROWS:
+            xs = rng.standard_normal((b, d))
+            got = EfmField(atoms, neighbors=50)(xs, t)
+            assert np.array_equal(got, loop_rows(atoms, xs, t, 50)), b
+
+    @staticmethod
+    def assert_full_softmax_close(atoms, xs, ts, got):
+        # a BLAS product sums in a row-count-dependent order, so rows may
+        # differ in the last bits; the error is relative to the size of the
+        # terms of (sum_i w_i x_i - x) / (1 - t), which cancel near an atom
+        want = loop_rows(atoms, xs, ts, None)
+        scale = (np.abs(xs).max(axis=1) + np.abs(atoms).max()) / (1.0 - ts)
+        assert (np.abs(got - want).max(axis=1) / scale).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 0.999])
+    def test_full_softmax_matches_row_loop(self, t, d):
+        rng = np.random.default_rng(30 + d)
+        atoms = rng.standard_normal((self.N, d))
+        for b in self.ROWS:
+            xs = rng.standard_normal((b, d))
+            self.assert_full_softmax_close(atoms, xs, np.full(b, t),
+                                           EfmField(atoms)(xs, t))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_full_softmax_per_row_times(self, d):
+        # the blow-up probe's shape: T = 8000 rows, one time each, N = 50
+        rng = np.random.default_rng(40 + d)
+        atoms = 3.0 * rng.standard_normal((50, d))
+        xs = rng.standard_normal((8000, d))
+        ts = 1.0 - np.geomspace(1e-3, 1.0, 8000)
+        self.assert_full_softmax_close(atoms, xs, ts, efm._efm_rows(atoms, xs, ts, None))
+
+    @pytest.mark.parametrize("neighbors", [None, 20])
+    def test_work_arrays_stay_within_blocks(self, neighbors):
+        rng = np.random.default_rng(14)
+        atoms = rng.standard_normal((50, 2))
+        xs = rng.standard_normal((8000, 2))
+        ts = 1.0 - np.geomspace(1e-3, 1.0, 8000)
+        tracemalloc.start()
+        try:
+            out = efm._efm_rows(atoms, xs, ts, neighbors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus a few block-sized arrays; a whole (8000, 50)
+        # float64 array alone is 3.2 MB
+        assert peak <= out.nbytes + 4 * 8 * efm.BLOCK_ELEMS + 65536
+
+
+class TestBatchedQueries:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("t", [0.3, 0.7, 0.98])
+    def test_batch_equals_per_point(self, d, t):
+        rng = np.random.default_rng(50 + d)
+        # atoms 10 apart along the diagonal: a query at an atom's bridge mean
+        # is dominated, one halfway between two means is not
+        m = mix(rng.standard_normal((30, d)) + 10.0 * np.arange(30)[:, None])
+        mus = t * m.atoms
+        zs = np.concatenate([mus[:10] + 0.01 * rng.standard_normal((10, d)),
+                             0.5 * (mus[10:20] + mus[11:21]),
+                             mus.mean(axis=0) + 20.0 * rng.standard_normal((10, d))])
+        lam = posterior_weights(m, zs, t)
+        logp = mixture_log_density(m, zs, t)
+        dom = dominance(m, zs, t, 0.1)
+        assert lam.shape == (30, 30) and logp.shape == (30,) and len(dom) == 30
+        for i, z in enumerate(zs):
+            assert np.array_equal(lam[i], posterior_weights(m, z, t))
+            assert logp[i] == mixture_log_density(m, z, t)
+            assert dom[i] == dominance(m, z, t, 0.1)
+        assert dom[:10] == list(range(10)) and dom[10:20] == [None] * 10
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_point_equals_direct_formula(self, d):
+        # one query gives the bits of the plain (N, d) formula
+        rng = np.random.default_rng(60 + d)
+        m = mix(2.0 * rng.standard_normal((40, d)))
+        for t in (0.2, 0.6, 0.95):
+            z = rng.standard_normal(d)
+            sigma2 = (1.0 - t) ** 2
+            logw = -((z[None, :] - t * m.atoms) ** 2).sum(axis=1) / (2.0 * sigma2)
+            w = np.exp(logw - logw.max())
+            assert np.array_equal(posterior_weights(m, z, t), w / w.sum())
+            peak = logw.max()
+            lse = peak + np.log(np.exp(logw - peak).sum())
+            want = float(lse - np.log(40) - 0.5 * d * np.log(2.0 * np.pi * sigma2))
+            assert mixture_log_density(m, z, t) == want
 
 
 class TestMixtureDensity:
@@ -268,8 +396,3 @@ def test_posterior_weights_normalized_property(n_atoms, seed, t):
     lam = posterior_weights(m, rng.standard_normal(2), t)
     assert abs(lam.sum() - 1.0) <= 1e-15
     assert lam.min() >= 0.0
-
-
-def test_efm_velocity_function_form():
-    f = EfmField(np.array([[1.0, 0.0]]))
-    assert np.array_equal(efm_velocity(f, np.zeros(2), 0.5), f(np.zeros(2), 0.5))

@@ -1,5 +1,7 @@
 """Tests for ODE integration, energy accumulation, and velocity shaping."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from kinflow.efm import EfmField
 from kinflow.net import NeuralVelocityField, init_params
-from kinflow.sampler import (IntegrationDiverged, KtsSchedule, SolverConfig,
-                             batch_summary, integrate, kts_eta, load_traces,
-                             sample_batch, save_traces)
+from kinflow.sampler import (TRACE_HEADER, IntegrationDiverged, KtsSchedule,
+                             SolverConfig, batch_summary, integrate, kts_eta,
+                             load_traces, sample_batch, save_traces)
 
 
 def constant_field(v):
@@ -427,6 +429,75 @@ class TestTraceIO:
             assert np.array_equal(rec["x"], orig.states[:, 0])
             assert np.array_equal(rec["power"][1:], orig.power)
             assert rec["cum_kpe"][-1] == pytest.approx(orig.kpe, rel=1e-12)
+
+    @staticmethod
+    def efm_trajectories():
+        atoms = np.random.default_rng(8).standard_normal((200, 2))
+        cfg = SolverConfig(method="midpoint", steps=40, delta_cut=1e-3, seed=3)
+        return sample_batch(EfmField(atoms, neighbors=30), 12, cfg)
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        trajs = self.efm_trajectories()
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_HEADER)
+            for tid, traj in enumerate(trajs):
+                cum = traj.cum_kpe()
+                stepped = np.concatenate([[0.0], traj.power])
+                for j, (t, st) in enumerate(zip(traj.times, traj.states)):
+                    writer.writerow([tid, repr(float(t)), repr(float(st[0])),
+                                     repr(float(st[1])), repr(float(stepped[j])),
+                                     repr(float(cum[j]))])
+        save_traces(trajs, tmp_path / "got.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 12 * 41
+
+    def test_load_equals_float_parsing(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        save_traces(self.efm_trajectories(), path)
+        rows: dict[int, list] = {}
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                rows.setdefault(int(row[0]), []).append([float(v) for v in row[1:]])
+        back = load_traces(path)
+        assert [tr["traj_id"] for tr in back] == sorted(rows)
+        for tr in back:
+            want = np.array(rows[tr["traj_id"]])
+            assert type(tr["traj_id"]) is int
+            for col, key in enumerate(TRACE_HEADER[1:]):
+                assert tr[key].dtype == np.float64
+                assert np.array_equal(tr[key], want[:, col])
+
+    def test_interleaved_ids_grouped_in_file_order(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        lines = [",".join(TRACE_HEADER), "1,0.0,1,1,0.0,0.0", "0,0.0,2,2,0.0,0.0",
+                 "1,0.5,3,3,4.0,1.0", "2,0.0,4,4,0.0,0.0", "0,0.5,5,5,1.0,0.25"]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        back = load_traces(path)
+        assert [tr["traj_id"] for tr in back] == [0, 1, 2]
+        assert back[0]["x"].tolist() == [2.0, 5.0]
+        assert back[1]["x"].tolist() == [1.0, 3.0]
+        assert back[1]["cum_kpe"].tolist() == [0.0, 1.0]
+        assert back[2]["t"].tolist() == [0.0]
+
+    def test_header_and_ids_checked(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        path.write_text("traj_id,t,x,y,power,kpe\r\n0,0.0,1,1,0.0,0.0\r\n")
+        with pytest.raises(ValueError, match="expected header"):
+            load_traces(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="expected header"):
+            load_traces(path)
+        path.write_text("traj_id,t,x,y,power,cum_kpe\r\n0.5,0.0,1,1,0.0,0.0\r\n")
+        with pytest.raises(ValueError, match="integers"):
+            load_traces(path)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        save_traces([], path)
+        assert path.read_bytes() == b"traj_id,t,x,y,power,cum_kpe\r\n"
+        assert load_traces(path) == []
 
     def test_summary_fields(self):
         cfg = SolverConfig(steps=8, seed=2)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from kinflow.efm import EfmField, GammaSchedule, MixtureModel, linear_schedule
+from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
+                         linear_schedule)
 from kinflow.theory import (blowup_probe, bound_constants, check_concentration,
                             check_energy_density_bounds,
                             check_local_gaussian_remainder,
@@ -82,6 +83,52 @@ class TestEnergyDensityBounds:
         assert report.n_skipped == 1
         assert report.entries[0].skipped == "dominance"
         assert report.pass_rate == 1.0
+
+    def test_entries_keep_input_order_across_times(self):
+        # the check groups points by time; each entry must equal the entry
+        # of a one-point call, in the order the points were given
+        rng = np.random.default_rng(6)
+        m = mix(4.0 * rng.standard_normal((20, 2)))
+        pts = [(rng.standard_normal(2), t) for t in (0.2, 0.9, 0.5, 0.9, 0.2, 0.5) * 4]
+        got = check_energy_density_bounds(m, pts, eps=0.2).entries
+        for (z, t), entry in zip(pts, got):
+            alone = check_energy_density_bounds(m, [(z, t)], eps=0.2).entries[0]
+            assert np.array_equal(entry.z, z) and entry.t == t
+            assert (entry.i_star, entry.lam_star, entry.skipped, entry.passed) == \
+                (alone.i_star, alone.lam_star, alone.skipped, alone.passed)
+            np.testing.assert_array_equal(
+                [entry.neg_log_density, entry.energy, entry.lower, entry.upper],
+                [alone.neg_log_density, alone.energy, alone.lower, alone.upper])
+        assert 0 < sum(e.skipped is None for e in got) < len(got)
+
+
+def dominant_points_loop(m, ts, eps, per_time, rng):
+    """Per-point reference of ``sample_dominant_points``."""
+    points, rejected = [], 0
+    for t in ts:
+        mus, sigma2 = m._bridge(t)
+        idx = rng.integers(0, m.n_atoms, per_time)
+        zs = mus[idx] + np.sqrt(sigma2) * rng.standard_normal((per_time, m.dim))
+        for z in zs:
+            if dominance(m, z, t, eps) is None:
+                rejected += 1
+            else:
+                points.append((z, float(t)))
+    return points, rejected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_sample_dominant_points_matches_per_point_loop(dim):
+    m = mix(3.0 * np.random.default_rng(dim).standard_normal((50, dim)))
+    ts = np.linspace(0.1, 0.9, 9)
+    rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
+    got, got_rejected = sample_dominant_points(m, ts, 0.1, 40, rng_got)
+    want, want_rejected = dominant_points_loop(m, ts, 0.1, 40, rng_want)
+    assert got_rejected == want_rejected and 0 < want_rejected < 360
+    assert len(got) == len(want)
+    for (z, t), (z_ref, t_ref) in zip(got, want):
+        assert np.array_equal(z, z_ref) and t == t_ref
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class TestRemainders:
