@@ -2,6 +2,13 @@
 
 Subcommands: ``gen-data``, ``train``, ``sample``, ``diagnose``,
 ``verify-theory``, ``kts-sweep``, ``run`` (cached pipeline), ``plot``.
+``train``, ``sample``, ``diagnose`` and ``verify-theory`` run the body of
+their pipeline stage, on explicit paths.
+
+A ``run --config`` file's ``train``, ``solver`` and ``kts`` sections are
+``net.TrainConfig``, ``sampler.SolverConfig`` plus the trajectory count
+``m``, and ``sampler.KtsSchedule``.  Unknown keys and invalid values exit 2
+before any stage runs.  A stage's cache marker is removed while it runs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 stage failure,
 4 verification-check failure.
@@ -15,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,29 +56,11 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class TrainStageConfig:
-    learning_rate: float = 3e-4
-    weight_decay: float = 1e-4
-    batch_size: int = 256
-    iterations: int = 50_000
-    seed: int = 1
+class SolverStageConfig(sampler.SolverConfig):
+    """The sampler's solver settings plus the number of trajectories ``m``."""
 
-
-@dataclass(frozen=True)
-class SolverStageConfig:
-    method: str = "euler"
-    steps: int = 100
-    delta_cut: float = 0.0
-    m: int = 500
     seed: int = 5
-
-
-@dataclass(frozen=True)
-class KtsConfig:
-    alpha0: float = 0.0
-    beta0: float = 0.0
-    k: float = 3.0
-    tau_split: float = 0.6
+    m: int = 500
 
 
 @dataclass(frozen=True)
@@ -86,9 +75,9 @@ class DiagConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    train: TrainStageConfig = field(default_factory=TrainStageConfig)
+    train: net.TrainConfig = field(default_factory=lambda: net.TrainConfig(seed=1))
     solver: SolverStageConfig = field(default_factory=SolverStageConfig)
-    kts: KtsConfig = field(default_factory=KtsConfig)
+    kts: sampler.KtsSchedule = field(default_factory=sampler.KtsSchedule)
     diagnostics: DiagConfig = field(default_factory=DiagConfig)
 
     def to_dict(self) -> dict:
@@ -96,11 +85,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "ExperimentConfig":
-        return cls(dataset=DatasetConfig(**blob.get("dataset", {})),
-                   train=TrainStageConfig(**blob.get("train", {})),
-                   solver=SolverStageConfig(**blob.get("solver", {})),
-                   kts=KtsConfig(**blob.get("kts", {})),
-                   diagnostics=DiagConfig(**blob.get("diagnostics", {})))
+        """Each section's keys override that section's defaults.  An unknown
+        section or key, a non-object, or a value the section rejects raises
+        ValueError."""
+        defaults = cls()
+        _check_keys("the config", blob, defaults)
+        sections = {}
+        for name, keys in blob.items():
+            _check_keys(f"config section {name!r}", keys, getattr(defaults, name))
+            try:
+                sections[name] = replace(getattr(defaults, name), **keys)
+            except TypeError as exc:        # e.g. a string compared with a number
+                raise ValueError(f"config section {name!r}: {exc}") from None
+        return cls(**sections)
 
     def with_profile(self, profile: str) -> "ExperimentConfig":
         if profile == "full":
@@ -117,6 +114,15 @@ class ExperimentConfig:
         return replace(self, dataset=replace(self.dataset, seed=seed),
                        train=replace(self.train, seed=seed + 1),
                        solver=replace(self.solver, seed=seed + 2))
+
+
+def _check_keys(where: str, blob, default) -> None:
+    """Raise ValueError unless ``blob`` is a dict of ``default``'s field names."""
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(blob).__name__}")
+    unknown = sorted(set(blob) - {f.name for f in fields(default)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def config_hash(blob: dict) -> str:
@@ -139,13 +145,6 @@ def _heldout_n(m: int) -> int:
     return max(m, 10)
 
 
-def _write_loss_curve(path, losses) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,loss\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{float(loss)!r}\n")
-
-
 def stage_gen(cfg: ExperimentConfig, outdir: str) -> dict:
     data = datasets.generate(cfg.dataset.kind, cfg.dataset.n, cfg.dataset.seed)
     heldout = datasets.generate(cfg.dataset.kind, _heldout_n(cfg.solver.m),
@@ -157,86 +156,74 @@ def stage_gen(cfg: ExperimentConfig, outdir: str) -> dict:
     return {"data": data_path, "heldout": held_path}
 
 
+def _train(data_path: str, tc: net.TrainConfig, model_path: str,
+           loss_path: str) -> net.TrainResult:
+    result = net.train(datasets.load_csv(data_path).points, tc)
+    net.save_checkpoint(result.params, model_path)
+    with open(loss_path, "w") as fh:
+        fh.write("iter,loss\n")
+        for i, loss in enumerate(result.losses):
+            fh.write(f"{i},{float(loss)!r}\n")
+    return result
+
+
 def stage_train(cfg: ExperimentConfig, outdir: str) -> dict:
-    data = datasets.load_csv(os.path.join(outdir, "data.csv"),
-                             kind=cfg.dataset.kind, seed=cfg.dataset.seed)
-    tc = net.TrainConfig(learning_rate=cfg.train.learning_rate,
-                         weight_decay=cfg.train.weight_decay,
-                         batch_size=cfg.train.batch_size,
-                         iterations=cfg.train.iterations,
-                         seed=cfg.train.seed)
-    result = net.train(data.points, tc)
     model_path = os.path.join(outdir, "model.ckpt")
     loss_path = os.path.join(outdir, "loss.csv")
-    net.save_checkpoint(result.params, model_path)
-    _write_loss_curve(loss_path, result.losses)
+    _train(os.path.join(outdir, "data.csv"), cfg.train, model_path, loss_path)
     return {"model": model_path, "loss_curve": loss_path}
 
 
-def _solver_config(solver: SolverStageConfig) -> sampler.SolverConfig:
-    return sampler.SolverConfig(method=solver.method, steps=solver.steps,
-                                delta_cut=solver.delta_cut, seed=solver.seed)
-
-
-def _sample_meta(label: str, seed: int, schedule: sampler.KtsSchedule) -> dict:
-    """The ``solver`` block fields a sampling run adds to its summary."""
-    return {"field": label, "seed": seed, "alpha0": schedule.alpha0,
+def _sample(field_fn, label: str, solver: SolverStageConfig,
+            schedule: sampler.KtsSchedule, outdir: str) -> list[sampler.Trajectory]:
+    """``solver.m`` trajectories under ``schedule``, written to ``outdir`` as
+    ``traces.csv`` and ``summary.json``."""
+    meta = {"field": label, "seed": solver.seed, "alpha0": schedule.alpha0,
             "beta0": schedule.beta0, "k": schedule.k}
+    trajs = sampler.sample_batch(field_fn, solver.m, solver, tau_split=schedule.tau_split,
+                                 meta=meta, schedules=(schedule,))
+    os.makedirs(outdir, exist_ok=True)
+    sampler.save_traces(trajs, os.path.join(outdir, "traces.csv"))
+    _write_json(os.path.join(outdir, "summary.json"), sampler.batch_summary(trajs))
+    return trajs
 
 
 def stage_sample(cfg: ExperimentConfig, outdir: str) -> dict:
     params = net.load_checkpoint(os.path.join(outdir, "model.ckpt"))
-    schedule = sampler.KtsSchedule(**asdict(cfg.kts))
-    trajs = sampler.sample_batch(net.NeuralVelocityField(params), cfg.solver.m,
-                                 _solver_config(cfg.solver),
-                                 tau_split=cfg.kts.tau_split,
-                                 meta=_sample_meta("neural", cfg.solver.seed, schedule),
-                                 schedules=(schedule,))
-    traces_path = os.path.join(outdir, "traces.csv")
-    summary_path = os.path.join(outdir, "summary.json")
-    sampler.save_traces(trajs, traces_path)
-    _write_json(summary_path, sampler.batch_summary(trajs))
-    return {"traces": traces_path, "summary": summary_path}
+    _sample(net.NeuralVelocityField(params), "neural", cfg.solver, cfg.kts, outdir)
+    return {"traces": os.path.join(outdir, "traces.csv"),
+            "summary": os.path.join(outdir, "summary.json")}
 
 
-def stage_diagnose(cfg: ExperimentConfig, outdir: str) -> dict:
-    data = datasets.load_csv(os.path.join(outdir, "data.csv"),
-                             kind=cfg.dataset.kind, seed=cfg.dataset.seed)
-    heldout = datasets.load_csv(os.path.join(outdir, "heldout.csv"))
-    with open(os.path.join(outdir, "summary.json")) as fh:
-        summary = json.load(fh)
-    report = _diagnose_report(summary, data, heldout.points, cfg.diagnostics)
-    report["config"] = cfg.to_dict()
-    path = os.path.join(outdir, "diagnose_report.json")
-    _write_json(path, report)
-    return {"report": path}
-
-
-def _diagnose_report(summary: dict, data: datasets.LabeledDataset,
-                     heldout_points: np.ndarray | None, diag: DiagConfig) -> dict:
-    kpes = np.array([t["kpe"] for t in summary["trajectories"]])
-    endpoints = np.array([t["endpoint"] for t in summary["trajectories"]])
-    stats = diagnostics.kpe_density_report(kpes, endpoints, data,
-                                           knn_k=diag.knn_k,
-                                           kde_bandwidth=diag.kde_bandwidth)
+def _diagnose(summary_dir: str, data_path: str, heldout_path: str | None,
+              diag: DiagConfig, config: dict, out_path: str) -> dict:
+    """Energy/density and memorization statistics of the trajectories in
+    ``summary_dir``/summary.json; W2 to the held-out set when one is given."""
+    data = datasets.load_csv(data_path)
+    heldout = datasets.load_csv(heldout_path).points if heldout_path else None
+    with open(os.path.join(summary_dir, "summary.json")) as fh:
+        trajs = json.load(fh)["trajectories"]
+    kpes = np.array([t["kpe"] for t in trajs])
+    endpoints = np.array([t["endpoint"] for t in trajs])
+    report = asdict(diagnostics.kpe_density_report(kpes, endpoints, data,
+                                                   knn_k=diag.knn_k,
+                                                   kde_bandwidth=diag.kde_bandwidth))
+    del report["n_sparse"], report["n_dense"]       # the report keeps n only
     mem = diagnostics.f_mem(endpoints, data.points, tau_gap=diag.tau_gap,
                             k_mem=diag.k_mem)
     w2 = None
-    if heldout_points is not None and len(heldout_points) >= len(endpoints):
-        w2 = diagnostics.exact_w2(endpoints, heldout_points[:len(endpoints)])
-    return {
-        "rho_knn": stats.rho_knn,
-        "rho_kde": stats.rho_kde,
-        "cliffs_delta": stats.cliffs_delta,
-        "mwu_u": stats.mwu_u,
-        "mwu_p": stats.mwu_p,
-        "cohens_d": stats.cohens_d,
-        "f_mem": mem.f_mem,
-        "w2": w2,
-        "n": stats.n,
-        "mean_kpe_sparse": stats.mean_kpe_sparse,
-        "mean_kpe_dense": stats.mean_kpe_dense,
-    }
+    if heldout is not None and len(heldout) >= len(endpoints):
+        w2 = diagnostics.exact_w2(endpoints, heldout[:len(endpoints)])
+    report.update(f_mem=mem.f_mem, w2=w2, config=config)
+    _write_json(out_path, report)
+    return report
+
+
+def stage_diagnose(cfg: ExperimentConfig, outdir: str) -> dict:
+    path = os.path.join(outdir, "diagnose_report.json")
+    _diagnose(outdir, os.path.join(outdir, "data.csv"),
+              os.path.join(outdir, "heldout.csv"), cfg.diagnostics, cfg.to_dict(), path)
+    return {"report": path}
 
 
 def _isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
@@ -350,12 +337,18 @@ def _theory_atoms(points: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
                                      replace=False))]
 
 
+def _verify(atoms_by_dim: dict[int, np.ndarray], eps: float, seed: int,
+            out_path: str) -> dict:
+    report = _theory_report(atoms_by_dim, [eps], seed=seed)
+    _write_json(out_path, report)
+    return report
+
+
 def stage_verify(cfg: ExperimentConfig, outdir: str) -> dict:
     points = datasets.load_csv(os.path.join(outdir, "data.csv")).points
-    report = _theory_report({2: _theory_atoms(points, 50, cfg.dataset.seed)},
-                            [cfg.diagnostics.eps], seed=cfg.dataset.seed)
     path = os.path.join(outdir, "theory_report.json")
-    _write_json(path, report)
+    report = _verify({2: _theory_atoms(points, 50, cfg.dataset.seed)},
+                     cfg.diagnostics.eps, cfg.dataset.seed, path)
     if report["inconclusive"]:
         raise StageFailure("verify", RuntimeError(
             "theory checks inconclusive: no sampled point passed the dominance filter"))
@@ -432,6 +425,9 @@ def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
                 manifest["stages"][name] = {"outputs": cached["outputs"],
                                             "seconds": 0.0, "skipped": True}
                 continue
+            if cached is not None:
+                # the stage overwrites the outputs this marker vouches for
+                os.unlink(marker)
             start = time.perf_counter()
             try:
                 outputs = fn(cfg, outdir)
@@ -457,11 +453,9 @@ def kts_sweep(params: net.MlpParams, data: datasets.LabeledDataset,
     Every cell integrates the same starts, all in one batch."""
     m = cfg.solver.m
     cells = [(0.0, 0.0)] + [(a, b) for a in alpha_grid for b in beta_grid]
-    plain = sampler.KtsSchedule(**asdict(cfg.kts))
     batch = sampler.sample_batch(
-        net.NeuralVelocityField(params), m, _solver_config(cfg.solver),
-        tau_split=cfg.kts.tau_split,
-        schedules=[replace(plain, alpha0=a0, beta0=b0) for a0, b0 in cells])
+        net.NeuralVelocityField(params), m, cfg.solver, tau_split=cfg.kts.tau_split,
+        schedules=[replace(cfg.kts, alpha0=a0, beta0=b0) for a0, b0 in cells])
     rows = []
     for c, (a0, b0) in enumerate(cells):
         trajs = batch[c * m:(c + 1) * m]
@@ -617,14 +611,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    data = datasets.load_csv(args.data)
-    cfg = net.TrainConfig(learning_rate=args.lr, weight_decay=args.weight_decay,
-                          batch_size=args.batch, iterations=args.iters,
-                          seed=args.seed)
-    result = net.train(data.points, cfg)
-    net.save_checkpoint(result.params, args.out)
+    tc = net.TrainConfig(learning_rate=args.lr, weight_decay=args.weight_decay,
+                         batch_size=args.batch, iterations=args.iters, seed=args.seed)
     loss_path = args.loss_curve or (os.path.splitext(args.out)[0] + "_loss.csv")
-    _write_loss_curve(loss_path, result.losses)
+    result = _train(args.data, tc, args.out, loss_path)
     final = result.losses[-200:].mean() if len(result.losses) else float("nan")
     print(f"wrote {args.out}; final smoothed loss {final:.4f}")
     return EXIT_OK
@@ -633,24 +623,18 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     if args.model:
         base = net.NeuralVelocityField(net.load_checkpoint(args.model))
-        delta_cut = 0.0 if args.delta_cut is None else args.delta_cut
-        label = "neural"
+        label, delta_cut = "neural", 0.0
     else:
-        data = datasets.load_csv(args.efm)
-        neighbors = min(args.neighbors, len(data.points)) if args.neighbors else None
-        base = EfmField(data.points, neighbors=neighbors)
-        delta_cut = 1e-3 if args.delta_cut is None else args.delta_cut
-        label = "efm"
+        points = datasets.load_csv(args.efm).points
+        neighbors = min(args.neighbors, len(points)) if args.neighbors else None
+        base = EfmField(points, neighbors=neighbors)
+        label, delta_cut = "efm", 1e-3
+    solver = SolverStageConfig(
+        method=args.solver, steps=args.steps, seed=args.seed, m=args.m,
+        delta_cut=delta_cut if args.delta_cut is None else args.delta_cut)
     schedule = sampler.KtsSchedule(alpha0=args.alpha0, beta0=args.beta0,
                                    k=args.k, tau_split=args.tau_split)
-    scfg = sampler.SolverConfig(method=args.solver, steps=args.steps,
-                                delta_cut=delta_cut, seed=args.seed)
-    trajs = sampler.sample_batch(base, args.m, scfg, tau_split=args.tau_split,
-                                 meta=_sample_meta(label, args.seed, schedule),
-                                 schedules=(schedule,))
-    os.makedirs(args.out, exist_ok=True)
-    sampler.save_traces(trajs, os.path.join(args.out, "traces.csv"))
-    _write_json(os.path.join(args.out, "summary.json"), sampler.batch_summary(trajs))
+    trajs = _sample(base, label, solver, schedule, args.out)
     mean_kpe = float(np.mean([t.kpe for t in trajs]))
     print(f"wrote {args.out}/traces.csv ({args.m} trajectories, "
           f"mean energy {mean_kpe:.3f})")
@@ -658,15 +642,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    data = datasets.load_csv(args.data)
-    with open(os.path.join(args.traces, "summary.json")) as fh:
-        summary = json.load(fh)
-    heldout = datasets.load_csv(args.heldout).points if args.heldout else None
     diag = DiagConfig(knn_k=args.k, kde_bandwidth=args.bandwidth,
                       tau_gap=args.tau_gap, k_mem=args.k_mem)
-    report = _diagnose_report(summary, data, heldout, diag)
-    report["config"] = asdict(diag)
-    _write_json(args.out, report)
+    report = _diagnose(args.traces, args.data, args.heldout, diag, asdict(diag),
+                       args.out)
     print(f"wrote {args.out}: rho_knn={report['rho_knn']:.3f} "
           f"rho_kde={report['rho_kde']:.3f} mwu_p={report['mwu_p']:.2e} "
           f"f_mem={report['f_mem']:.3f}")
@@ -683,8 +662,7 @@ def _cmd_verify_theory(args) -> int:
                                             args.atoms, args.seed)
         else:
             atoms_by_dim[d] = 3.0 * rng.standard_normal((args.atoms, d))
-    report = _theory_report(atoms_by_dim, [args.eps], seed=args.seed)
-    _write_json(args.out, report)
+    report = _verify(atoms_by_dim, args.eps, args.seed, args.out)
     status = "PASS" if report["all_passed"] else "FAIL"
     print(f"wrote {args.out}: {status}")
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE

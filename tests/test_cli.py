@@ -366,6 +366,28 @@ class TestRunPipeline:
         assert not any(s["skipped"] for s in manifest["stages"].values())
         assert not (outdir / ".lock").exists()
 
+    def test_failed_stage_leaves_no_stale_marker(self, tmp_path, monkeypatch):
+        # A completes; B, another solver seed, dies while writing its traces;
+        # A again must not take B's partial traces.csv for its own
+        outdir = tmp_path / "run"
+        a = ExperimentConfig.from_dict(TINY)
+        b = ExperimentConfig.from_dict({**TINY, "solver": {**TINY["solver"], "seed": 9}})
+        run_pipeline(a, str(outdir))
+        traces_a = (outdir / "traces.csv").read_bytes()
+
+        def partial_write(trajs, path):
+            with open(path, "w") as fh:
+                fh.write("traj_id,t,x,y,power,cum_kpe\r\n0,0.0,")
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "save_traces", partial_write)
+            with pytest.raises(StageFailure, match="sample"):
+                run_pipeline(b, str(outdir))
+        manifest = run_pipeline(a, str(outdir))
+        assert not manifest["stages"]["sample"]["skipped"]
+        assert (outdir / "traces.csv").read_bytes() == traces_a
+
     def test_cli_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(TINY))
@@ -382,6 +404,65 @@ class TestRunPipeline:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("section", [
+        {"kts": {"beta0": 5.0}},                         # eta(1) < 0 reverses the flow
+        {"solver": {**TINY["solver"], "steps": 0}},
+    ])
+    def test_invalid_values_exit_2_before_any_stage(self, tmp_path, section):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY, **section}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_INVALID_CONFIG
+        assert not (out / "data.csv").exists()
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("blob, key", [
+        ({**TINY, "solvr": {"steps": 10}}, "solvr"),
+        ({**TINY, "solver": {"stpes": 10}}, "stpes"),
+        ({**TINY, "solver": [10]}, "solver"),
+        ({**TINY, "kts": 0.5}, "kts"),
+        ({**TINY, "solver": {**TINY["solver"], "steps": "10"}}, "solver"),
+        ([TINY], "object"),
+    ])
+    def test_malformed_config_file_exits_2(self, tmp_path, blob, key, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_INVALID_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOnePath:
+    def test_subcommands_write_what_the_pipeline_writes(self, tmp_path):
+        run, cmd = tmp_path / "run", tmp_path / "cmd"
+        run_pipeline(ExperimentConfig.from_dict(TINY), str(run))
+        cmd.mkdir()
+        data, held = str(run / "data.csv"), str(run / "heldout.csv")
+        calls = [
+            ["gen-data", "--kind", "dense_sparse", "--n", "60", "--seed", "7",
+             "--out", str(cmd / "data.csv")],
+            ["train", "--data", data, "--iters", "40", "--batch", "32", "--seed", "1",
+             "--out", str(cmd / "model.ckpt"), "--loss-curve", str(cmd / "loss.csv")],
+            ["sample", "--model", str(cmd / "model.ckpt"), "--solver", "euler",
+             "--steps", "10", "--m", "32", "--seed", "5", "--out", str(cmd)],
+            ["diagnose", "--traces", str(cmd), "--data", data, "--heldout", held,
+             "--k", "10", "--out", str(cmd / "diagnose_report.json")],
+            ["verify-theory", "--data", data, "--dims", "2", "--atoms", "50",
+             "--eps", "0.1", "--seed", "7", "--out", str(cmd / "theory_report.json")],
+        ]
+        for argv in calls:
+            assert main(argv) == EXIT_OK, argv[0]
+        for name in ("data.csv", "model.ckpt", "loss.csv", "traces.csv", "summary.json",
+                     "theory_report.json"):
+            assert (cmd / name).read_bytes() == (run / name).read_bytes(), name
+        ours, theirs = (json.loads((d / "diagnose_report.json").read_text())
+                        for d in (cmd, run))
+        assert ours.pop("config") == theirs.pop("config")["diagnostics"]
+        assert ours == theirs
+
 
 class TestExperimentConfig:
     def test_round_trip(self):
@@ -397,6 +478,20 @@ class TestExperimentConfig:
         assert cfg.solver.m == 200
         full = ExperimentConfig().with_profile("full")
         assert full.train.iterations == 50_000
+
+    def test_config_hash_is_stable(self):
+        # the pipeline's stage cache is keyed by these hashes
+        assert config_hash(ExperimentConfig().to_dict()) == \
+            "d4cce4ad604b02e9807230c4384edc2fad67ab05a3eb6825145d3158108116be"
+        assert config_hash(ExperimentConfig().with_profile("ci").to_dict()) == \
+            "ee2b28c64a46ebb98cd67db07a18ef745fb09b5e684eda6ce7bd46e8cce901fe"
+
+    def test_sections_are_the_layer_configs(self):
+        cfg = ExperimentConfig()
+        assert type(cfg.train) is net.TrainConfig and cfg.train.seed == 1
+        assert isinstance(cfg.solver, sampler.SolverConfig)
+        assert (cfg.solver.seed, cfg.solver.m) == (5, 500)
+        assert type(cfg.kts) is sampler.KtsSchedule
 
     def test_master_seed(self):
         cfg = ExperimentConfig().with_master_seed(100)
