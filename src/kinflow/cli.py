@@ -8,7 +8,8 @@ their pipeline stage, on explicit paths.
 A ``run --config`` file's ``train``, ``solver`` and ``kts`` sections are
 ``net.TrainConfig``, ``sampler.SolverConfig`` plus the trajectory count
 ``m``, and ``sampler.KtsSchedule``.  Unknown keys and invalid values exit 2
-before any stage runs.  A stage's cache marker is removed while it runs.
+before any stage runs.  A stage's cache marker is removed while it runs and
+written whole after it; an unreadable marker counts as absent.
 
 Exit codes: 0 success, 2 invalid configuration, 3 stage failure,
 4 verification-check failure.
@@ -54,6 +55,9 @@ class DatasetConfig:
     n: int = 1000
     seed: int = 7
 
+    def __post_init__(self):
+        datasets.check_spec(self.kind, self.n)
+
 
 @dataclass(frozen=True)
 class SolverStageConfig(sampler.SolverConfig):
@@ -61,6 +65,11 @@ class SolverStageConfig(sampler.SolverConfig):
 
     seed: int = 5
     m: int = 500
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,10 @@ class DiagConfig:
     tau_gap: float = 1.0 / 3.0
     k_mem: int = 2
     eps: float = 0.1
+
+    def __post_init__(self):
+        if self.knn_k < 1 or self.k_mem < 2:
+            raise ValueError(f"need knn_k >= 1 and k_mem >= 2, got {self.knn_k}, {self.k_mem}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +148,12 @@ def config_hash(blob: dict) -> str:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    """Write whole or not at all: a temporary file renamed over ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def _heldout_n(m: int) -> int:
@@ -268,12 +284,6 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
         for eps in eps_values:
             points, rejected = theory.sample_dominant_points(mix, ts, eps, 40, rng)
             bounds = theory.check_energy_density_bounds(mix, points, eps)
-            rem_fail = 0
-            for z, t in points:
-                lg = theory.check_local_gaussian_remainder(mix, z, t, eps)
-                sr = theory.check_score_remainder(mix, z, t, eps)
-                if (lg is not None and not lg[1]) or (sr is not None and not sr[1]):
-                    rem_fail += 1
             report["bounds"].append({
                 "dim": dim, "n_atoms": int(mix.n_atoms), "eps": eps,
                 "n_checked": bounds.n_checked, "n_skipped": bounds.n_skipped,
@@ -281,7 +291,7 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
                 "pass_rate": bounds.pass_rate})
             report["remainders"].append({
                 "dim": dim, "eps": eps, "n_checked": len(points),
-                "n_failed": rem_fail})
+                "n_failed": bounds.n_remainder_failed})
 
         field_fn = EfmField(atoms)
         probe_x, c = _isolated_probe(atoms)
@@ -293,8 +303,7 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
                 "all_passed": probe.all_passed})
         except ValueError as exc:
             report["blowup"].append({"dim": dim, "error": str(exc)})
-        mix_lin = MixtureModel(atoms, linear_schedule())
-        conc = theory.check_concentration(mix_lin, atoms[0] + 0.5,
+        conc = theory.check_concentration(mix, atoms[0] + 0.5,
                                           np.linspace(0.9, 0.999, 12), margin=0.05)
         report["concentration"].append({
             "dim": dim, "all_passed": conc.all_passed,
@@ -311,7 +320,7 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
         scfg = sampler.SolverConfig(method="midpoint", steps=100,
                                     delta_cut=1e-3, seed=seed)
         traj = sampler.integrate(field_fn, 0.1 * np.ones(atoms.shape[1]), scfg)
-        kpe, integral, ratio = theory.integrated_energy_density(traj, mix_lin)
+        kpe, integral, ratio = theory.integrated_energy_density(traj, mix)
         report.setdefault("integrated_energy_density", []).append({
             "dim": dim, "kpe": kpe, "neg_log_density_integral": integral,
             "ratio": ratio})
@@ -416,16 +425,17 @@ def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
         for name, fn, subtree in PIPELINE_STAGES:
             sub_hash = config_hash({k: keyed[k] for k in subtree})
             marker = os.path.join(outdir, f".stage_{name}.json")
-            cached = None
-            if os.path.exists(marker):
+            try:
                 with open(marker) as fh:
                     cached = json.load(fh)
-            if (cached is not None and cached.get("hash") == sub_hash
+            except (OSError, ValueError):       # missing or cut short: run the stage
+                cached = None
+            if (isinstance(cached, dict) and cached.get("hash") == sub_hash
                     and all(os.path.exists(p) for p in cached["outputs"].values())):
                 manifest["stages"][name] = {"outputs": cached["outputs"],
                                             "seconds": 0.0, "skipped": True}
                 continue
-            if cached is not None:
+            if os.path.exists(marker):
                 # the stage overwrites the outputs this marker vouches for
                 os.unlink(marker)
             start = time.perf_counter()
@@ -436,8 +446,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
             except Exception as exc:
                 raise StageFailure(name, exc)
             elapsed = time.perf_counter() - start
-            with open(marker, "w") as fh:
-                json.dump({"hash": sub_hash, "outputs": outputs}, fh)
+            _write_json(marker, {"hash": sub_hash, "outputs": outputs})
             manifest["stages"][name] = {"outputs": outputs, "seconds": elapsed,
                                         "skipped": False}
         _write_json(os.path.join(outdir, "run_manifest.json"), manifest)

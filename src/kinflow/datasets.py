@@ -76,6 +76,13 @@ def _require_n(n: int) -> None:
         raise ValueError(f"n must be >= 10, got {n}")
 
 
+def check_spec(kind: str, n: int) -> None:
+    """Raise ValueError unless ``generate`` can make ``n`` points of ``kind``."""
+    if kind not in DATASET_KINDS:
+        raise ValueError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
+    _require_n(n)
+
+
 def gen_dense_sparse(n: int, seed: int) -> LabeledDataset:
     """Dense Gaussian core (60%, sigma 0.15) plus sparse perturbed ring (40%).
 
@@ -161,11 +168,8 @@ _GENERATORS = {
 
 def generate(kind: str, n: int, seed: int) -> LabeledDataset:
     """Dispatch to the generator for ``kind``."""
-    try:
-        gen = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
-    return gen(n, seed)
+    check_spec(kind, n)
+    return _GENERATORS[kind](n, seed)
 
 
 @dataclass(frozen=True)
@@ -221,21 +225,17 @@ def infer_kind(strata) -> str:
     return "unknown"
 
 
-def load_csv(path, kind: str | None = None, seed: int = -1) -> LabeledDataset:
+def load_csv(path) -> LabeledDataset:
     """Read a dataset written by :func:`save_csv` (lossless round trip).
 
-    The kind is inferred from the stratum labels unless given explicitly.
+    The kind is inferred from the stratum labels.
     """
     with open(path, newline="") as fh:
-        return _parse_csv(fh, kind, seed)
+        return loads_csv(fh.read())
 
 
-def loads_csv(text: str, kind: str | None = None, seed: int = -1) -> LabeledDataset:
-    return _parse_csv(io.StringIO(text), kind, seed)
-
-
-def _parse_csv(fh, kind: str | None, seed: int) -> LabeledDataset:
-    reader = csv.reader(fh)
+def loads_csv(text: str) -> LabeledDataset:
+    reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header}")
@@ -247,6 +247,4 @@ def _parse_csv(fh, kind: str | None, seed: int) -> LabeledDataset:
         ys.append(float(row[1]))
         strata.append(row[2])
     points = np.stack([np.array(xs), np.array(ys)], axis=1) if xs else np.zeros((0, 2))
-    if kind is None:
-        kind = infer_kind(strata)
-    return LabeledDataset(points, tuple(strata), kind, seed)
+    return LabeledDataset(points, tuple(strata), infer_kind(strata), -1)

@@ -45,17 +45,15 @@ class GammaSchedule:
         if abs(self.gamma(0.0)) > 1e-12 or abs(self.gamma(1.0) - 1.0) > 1e-12:
             raise ValueError("schedule must satisfy gamma(0)=0 and gamma(1)=1")
 
-    def sigma2(self, t: float) -> float:
-        return (1.0 - self.gamma(t)) ** 2
-
 
 def linear_schedule() -> GammaSchedule:
     return GammaSchedule(gamma=lambda t: t, gamma_dot=lambda t: 1.0, kind="linear")
 
 
-def _check_unit_interval(t: float) -> float:
-    t = float(t)
-    if not (0.0 < t < 1.0):
+def _check_unit_interval(t):
+    """One time as a float, or per-row times as a (B,) array, inside (0, 1)."""
+    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=np.float64)
+    if not np.all((0.0 < t) & (t < 1.0)):
         raise ValueError(f"t must lie strictly inside (0, 1), got {t}")
     return t
 
@@ -87,11 +85,18 @@ class MixtureModel:
 
     def _bridge(self, t: float) -> tuple[np.ndarray, float]:
         """Component means and variance at clamped time t."""
-        tc = min(max(t, T_CLAMP), 1.0 - T_CLAMP)
-        g = self.schedule.gamma(tc)
-        mus = g * self.atoms
-        sigma2 = (1.0 - g) ** 2
-        return mus, sigma2
+        g, sigma2 = _time_terms(self, t)
+        return g * self.atoms, sigma2
+
+
+def _time_terms(m: MixtureModel, t):
+    """gamma and sigma^2 at the clamped time: floats for one time, (B, 1)
+    columns for per-row times, each row computed exactly as for one time."""
+    if np.ndim(t) == 0:
+        g = m.schedule.gamma(min(max(t, T_CLAMP), 1.0 - T_CLAMP))
+        return g, (1.0 - g) ** 2
+    terms = np.array([_time_terms(m, s) for s in t.tolist()]).reshape(-1, 2)
+    return terms[:, :1], terms[:, 1:]
 
 
 def _bridge_d2(xs: np.ndarray, atoms: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
@@ -113,63 +118,84 @@ def _bridge_d2(xs: np.ndarray, atoms: np.ndarray, scale, out: np.ndarray) -> np.
     return out
 
 
-def _queries(z) -> tuple[np.ndarray, bool]:
-    """A (d,) point or (B, d) batch as (B, d) rows, and whether it was one point."""
-    z = np.asarray(z, dtype=np.float64)
-    return z.reshape(-1, z.shape[-1]), z.ndim == 1
-
-
-def _log_weights(m: MixtureModel, zs: np.ndarray, t: float) -> np.ndarray:
-    """Unnormalized log responsibilities of the (B, d) queries, (B, N)."""
-    tc = min(max(t, T_CLAMP), 1.0 - T_CLAMP)
-    g = m.schedule.gamma(tc)
+def _log_weights(m: MixtureModel, zs: np.ndarray, t) -> tuple[np.ndarray, float | np.ndarray]:
+    """Unnormalized log responsibilities of the (B, d) queries at one time or
+    one time per row, (B, N), and sigma^2 (a float or a (B, 1) column)."""
+    g, sigma2 = _time_terms(m, t)
     logw = _bridge_d2(zs, m.atoms, g, np.empty((len(zs), m.n_atoms)))
     np.negative(logw, out=logw)
-    logw /= 2.0 * (1.0 - g) ** 2
-    return logw
+    logw /= 2.0 * sigma2
+    return logw, sigma2
 
 
-def posterior_weights(m: MixtureModel, x, t: float) -> np.ndarray:
+def _softmax_parts(m: MixtureModel, z, t):
+    """One softmax pass over a (d,) point or a (B, d) batch, at one t or one
+    t per row: exp(log weights - row max) in place, their row sums (dividing
+    by which gives the posteriors), log p_t of each row, and whether ``z``
+    was one point."""
+    z = np.asarray(z, dtype=np.float64)
+    w, sigma2 = _log_weights(m, z.reshape(-1, z.shape[-1]), _check_unit_interval(t))
+    peak = w.max(axis=1)
+    w -= peak[:, None]
+    np.exp(w, out=w)
+    total = w.sum(axis=1)
+    log_p = (peak + np.log(total) - np.log(m.n_atoms)
+             - 0.5 * m.dim * np.log(2.0 * np.pi * np.ravel(sigma2)))
+    return w, total, log_p, z.ndim == 1
+
+
+def posterior_weights(m: MixtureModel, x, t) -> np.ndarray:
     """Softmax responsibilities lambda_i(x, t), max-subtracted for stability.
 
-    ``x`` is one (d,) point, giving (N,) weights, or a (B, d) batch at the
-    same t, giving (B, N).  Each row sums to 1 up to floating-point rounding;
-    each entry lies in [0, 1].
+    ``x`` is one (d,) point, giving (N,) weights, or a (B, d) batch, giving
+    (B, N), at one t or at one t per row.  Each row sums to 1 up to
+    floating-point rounding; each entry lies in [0, 1].
     """
-    t = _check_unit_interval(t)
-    xs, single = _queries(x)
-    w = _log_weights(m, xs, t)
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    w, total, _, single = _softmax_parts(m, x, t)
+    w /= total[:, None]
     return w[0] if single else w
 
 
-def mixture_log_density(m: MixtureModel, z, t: float) -> float | np.ndarray:
+def mixture_log_density(m: MixtureModel, z, t) -> float | np.ndarray:
     """log p_t(z) of the intermediate mixture via log-sum-exp; always finite.
 
-    A float for one (d,) point, a (B,) array for a (B, d) batch at the same t.
+    A float for one (d,) point, a (B,) array for a (B, d) batch at one t or
+    at one t per row.
     """
-    t = _check_unit_interval(t)
-    zs, single = _queries(z)
-    _, sigma2 = m._bridge(t)
-    logw = _log_weights(m, zs, t)
-    peak = logw.max(axis=1, keepdims=True)
-    logw -= peak
-    np.exp(logw, out=logw)
-    lse = peak[:, 0] + np.log(logw.sum(axis=1))
-    d = m.dim
-    out = lse - np.log(m.n_atoms) - 0.5 * d * np.log(2.0 * np.pi * sigma2)
-    return float(out[0]) if single else out
+    _, _, log_p, single = _softmax_parts(m, z, t)
+    return float(log_p[0]) if single else log_p
+
+
+def _score(lam: np.ndarray, mus: np.ndarray, z: np.ndarray, sigma2: float) -> np.ndarray:
+    """(1/sigma^2) sum_i lambda_i (mu_i - z) for (N,) or (B, N) weights.  Each
+    coordinate is a row sum, so a row's bits do not depend on the batch size."""
+    means = np.stack([(lam * mus[:, k]).sum(axis=-1) for k in range(mus.shape[1])], axis=-1)
+    return (means - z) / sigma2
 
 
 def mixture_score(m: MixtureModel, z, t: float) -> np.ndarray:
     """grad_z log p_t(z) = (1/sigma^2) sum_i lambda_i (mu_i - z)."""
-    t = _check_unit_interval(t)
     z = np.asarray(z, dtype=np.float64)
-    mus, sigma2 = m._bridge(t)
-    lam = posterior_weights(m, z, t)
-    return (lam @ mus - z) / sigma2
+    mus, sigma2 = m._bridge(_check_unit_interval(t))
+    return _score(posterior_weights(m, z, t), mus, z, sigma2)
+
+
+def _score_coeffs(m: MixtureModel, t: float) -> tuple[float, float, float, float, float]:
+    """gamma, gamma', sigma^2 and the score-form coefficients alpha, beta at
+    one t; raises where they are singular."""
+    g, sigma2 = _time_terms(m, t)
+    gdot = m.schedule.gamma_dot(t)
+    if not (0.0 < g < 1.0):
+        raise ValueError(f"gamma(t) must lie in (0, 1); got {g} at t={t}")
+    if gdot == 0.0:
+        raise ValueError(f"schedule derivative vanishes at t={t}")
+    return g, gdot, sigma2, gdot * sigma2 / (g * (1.0 - g)), gdot / g
+
+
+def _velocity(m: MixtureModel, score: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
+    """alpha(t) score + beta(t) z, the velocity of the given score."""
+    *_, alpha, beta = _score_coeffs(m, t)
+    return alpha * score + beta * z
 
 
 def general_velocity(m: MixtureModel, z, t: float) -> np.ndarray:
@@ -178,17 +204,18 @@ def general_velocity(m: MixtureModel, z, t: float) -> np.ndarray:
     Singular when gamma(t) is 0 or 1 or the schedule is momentarily flat.
     """
     t = _check_unit_interval(t)
-    g = m.schedule.gamma(t)
-    gdot = m.schedule.gamma_dot(t)
-    if not (0.0 < g < 1.0):
-        raise ValueError(f"gamma(t) must lie in (0, 1); got {g} at t={t}")
-    if gdot == 0.0:
-        raise ValueError(f"schedule derivative vanishes at t={t}")
+    _score_coeffs(m, t)     # a singular schedule raises before the score is computed
     z = np.asarray(z, dtype=np.float64)
-    sigma2 = (1.0 - g) ** 2
-    alpha = gdot * sigma2 / (g * (1.0 - g))
-    beta = gdot / g
-    return alpha * mixture_score(m, z, t) + beta * z
+    return _velocity(m, mixture_score(m, z, t), z, t)
+
+
+def _dominant(lam: np.ndarray, eps: float):
+    """Each row's largest posterior's index, its weight, and whether it is >= 1 - eps."""
+    if not (0.0 < eps < 0.5):
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    i_star = lam.argmax(axis=1)
+    lam_star = lam[np.arange(len(lam)), i_star]
+    return i_star, lam_star, lam_star >= 1.0 - eps
 
 
 def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None | list[int | None]:
@@ -197,11 +224,7 @@ def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None | list[int
     Ties resolve to the lowest index.  For a (B, d) batch at the same t, a
     list of B such results.
     """
-    if not (0.0 < eps < 0.5):
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    lam = np.atleast_2d(posterior_weights(m, z, t))
-    i_star = lam.argmax(axis=1)
-    ok = lam[np.arange(len(lam)), i_star] >= 1.0 - eps
+    i_star, _, ok = _dominant(np.atleast_2d(posterior_weights(m, z, t)), eps)
     out = [int(i) if keep else None for i, keep in zip(i_star, ok)]
     return out if np.ndim(z) == 2 else out[0]
 

@@ -17,6 +17,10 @@ The module also verifies the supporting approximation bounds (local Gaussian
 remainder, score remainder), the terminal posterior concentration bound, the
 terminal energy blow-up of a frozen off-manifold point, and the
 Cauchy-Schwarz lower bound on the tail energy of any atom-terminating path.
+
+The pointwise checks take (B, d) batches at one t: one softmax pass gives
+every point's posteriors, log p_t, score and velocity, and from them its
+bound constants and both remainders.  A one-point call is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .efm import (EfmField, MixtureModel, T_CLAMP, _efm_rows, dominance,
-                  mixture_log_density, mixture_score, general_velocity,
-                  posterior_weights)
+from .efm import (EfmField, MixtureModel, T_CLAMP, _bridge_d2, _check_unit_interval,
+                  _dominant, _efm_rows, _score, _score_coeffs, _softmax_parts,
+                  _velocity, dominance, mixture_log_density, posterior_weights)
 
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
@@ -35,19 +39,21 @@ REL_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Explicit constants of the energy-density bounds at one (t, i*, eps)."""
+    """Explicit constants of the energy-density bounds at one (t, i*, eps);
+    in ``_bound_terms``' batched form, the fields that depend on i* are arrays."""
 
     t: float
     eps: float
     i_star: int
     dim: int
     n_atoms: int
-    m2_sigma2: float       # m(t)^2 sigma_t^2; exactly 1 for the linear schedule
+    m2_sigma2: float       # m(t)^2 sigma_t^2 = gamma'(t)^2; exactly 1 for the linear schedule
     lower_slope: float     # m^2 sigma^2 / 2
     upper_slope: float     # 12 m^2 sigma^2
     mean_spread: float     # max_j ||mu_j - mu_i*||
     drift_norm: float      # ||(alpha / sigma^2) mu_i*||
-    score_slack: float     # |alpha| * (eps / sigma^2) * mean_spread
+    score_bound: float     # (eps / sigma^2) * mean_spread, bounds the score remainder
+    score_slack: float     # |alpha| * score_bound
     offset_lower: float
     offset_upper: float
     log_norm_const: float  # (d/2) log 2 pi + (d/2) log sigma^2 + log N
@@ -55,43 +61,43 @@ class BoundConstants:
     offset: float          # max of the two assembled offsets
 
 
-def bound_constants(m: MixtureModel, t: float, i_star: int, eps: float) -> BoundConstants:
-    g = m.schedule.gamma(t)
-    gdot = m.schedule.gamma_dot(t)
-    if not (0.0 < g < 1.0):
-        raise ValueError(f"gamma(t) must lie in (0, 1); got {g}")
-    one_minus_g = 1.0 - g
-    sigma2 = one_minus_g * one_minus_g
-    # written as a ratio of identical expressions so the linear schedule gives 1.0 exactly
-    m2_sigma2 = (gdot * gdot) * sigma2 / (one_minus_g * one_minus_g)
+def _bound_terms(m: MixtureModel, t: float, i_star: np.ndarray, eps: float) -> BoundConstants:
+    g, gdot, sigma2, alpha, _ = _score_coeffs(m, t)
+    m2_sigma2 = gdot * gdot
     c1 = 0.5 * m2_sigma2
     c2 = 12.0 * m2_sigma2
 
-    mus = g * m.atoms
-    mu_star = mus[i_star]
-    spread = float(np.sqrt(((mus - mu_star) ** 2).sum(axis=1)).max())
-    alpha = gdot * sigma2 / (g * one_minus_g)
-    drift = float(np.linalg.norm((alpha / sigma2) * mu_star))
-    score_slack = abs(alpha) * (eps / sigma2) * spread
-    f_t = drift + score_slack
-    mu_norm2 = float(mu_star @ mu_star)
-    off_lower = 0.5 * m2_sigma2 / sigma2 * mu_norm2 + 2.0 * f_t ** 2
+    mu_star = g * m.atoms[i_star]
+    d2 = _bridge_d2(mu_star, m.atoms, g, np.empty((len(i_star), m.n_atoms)))
+    spread = np.sqrt(d2.max(axis=1))
+    drift = np.sqrt((((alpha / sigma2) * mu_star) ** 2).sum(axis=1))
+    score_bound = (eps / sigma2) * spread
+    score_slack = abs(alpha) * score_bound
+    mu_norm2 = (mu_star ** 2).sum(axis=1)
+    off_lower = 0.5 * m2_sigma2 / sigma2 * mu_norm2 + 2.0 * (drift + score_slack) ** 2
     off_upper = 6.0 * m2_sigma2 / sigma2 * mu_norm2 + 3.0 * (drift ** 2 + score_slack ** 2)
 
     d = m.dim
-    c0 = 0.5 * d * np.log(2.0 * np.pi) + 0.5 * d * np.log(sigma2) + np.log(m.n_atoms)
-    k_t = abs(c0) - np.log1p(-eps)
-    offset = max(off_lower + c1 * k_t, off_upper + c2 * k_t)
+    c0 = float(0.5 * d * np.log(2.0 * np.pi) + 0.5 * d * np.log(sigma2) + np.log(m.n_atoms))
+    k_t = float(abs(c0) - np.log1p(-eps))
     return BoundConstants(t=t, eps=eps, i_star=i_star, dim=d, n_atoms=m.n_atoms,
                           m2_sigma2=m2_sigma2, lower_slope=c1, upper_slope=c2,
-                          mean_spread=spread, drift_norm=drift,
+                          mean_spread=spread, drift_norm=drift, score_bound=score_bound,
                           score_slack=score_slack, offset_lower=off_lower,
-                          offset_upper=off_upper, log_norm_const=float(c0),
-                          log_slack=float(k_t), offset=float(offset))
+                          offset_upper=off_upper, log_norm_const=c0, log_slack=k_t,
+                          offset=np.maximum(off_lower + c1 * k_t, off_upper + c2 * k_t))
+
+
+def bound_constants(m: MixtureModel, t: float, i_star: int, eps: float) -> BoundConstants:
+    batch = _bound_terms(m, _check_unit_interval(t), np.array([i_star]), eps)
+    return BoundConstants(**{k: v[0].item() if isinstance(v, np.ndarray) else v
+                             for k, v in vars(batch).items()})
 
 
 @dataclass(frozen=True)
 class BoundCheckEntry:
+    """The energy-density bounds (``passed``) and both remainders at one (z, t)."""
+
     z: np.ndarray
     t: float
     i_star: int | None
@@ -101,6 +107,10 @@ class BoundCheckEntry:
     lower: float
     upper: float
     passed: bool
+    log_remainder: float = np.nan
+    log_remainder_ok: bool = False
+    score_remainder: float = np.nan
+    score_remainder_ok: bool = False
     skipped: str | None = None
 
 
@@ -121,14 +131,59 @@ class BoundCheckReport:
         return sum(1 for e in self.entries if e.skipped is None and not e.passed)
 
     @property
+    def n_remainder_failed(self) -> int:
+        return sum(1 for e in self.entries if e.skipped is None
+                   and not (e.log_remainder_ok and e.score_remainder_ok))
+
+    @property
     def pass_rate(self) -> float:
         checked = self.n_checked
         return 1.0 if checked == 0 else 1.0 - self.n_failed / checked
 
 
+def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float, eps: float,
+                   rel_slack: float) -> list[BoundCheckEntry]:
+    """Every pointwise check of the (B, d) queries at one time t, in order.
+    Each step is row by row, so an entry does not depend on the batch."""
+    lam, total, log_p, _ = _softmax_parts(m, zs, t)
+    lam /= total[:, None]
+    i_all, lam_star, ok = _dominant(lam, eps)
+    dom = np.flatnonzero(ok)
+    z, i_star = zs[dom], i_all[dom]
+    nld = -log_p[dom]
+    c = _bound_terms(m, t, i_star, eps)
+    mus, sigma2 = m._bridge(t)
+    score = _score(lam[dom], mus, z, sigma2)
+    u = _velocity(m, score, z, t)
+    energy = (u * u).sum(axis=1)
+    lower = c.lower_slope * nld - c.offset
+    upper = c.upper_slope * nld + c.offset
+    passed = ((energy >= lower - rel_slack * np.maximum(np.maximum(1.0, np.abs(lower)), energy))
+              & (energy <= upper + rel_slack * np.maximum(np.maximum(1.0, np.abs(upper)), energy)))
+    # -log p_t minus the dominant Gaussian's own term lies in [log(1 - eps), 0]
+    gap = z - mus[i_star]
+    quad = (gap ** 2).sum(axis=1) / (2.0 * sigma2)
+    log_rem = nld - quad - c.log_norm_const
+    lo = np.log1p(-eps)
+    tol = rel_slack * np.maximum(max(1.0, abs(lo), abs(c.log_norm_const)), quad)
+    log_ok = (lo - tol <= log_rem) & (log_rem <= tol)
+    # the gap to the dominant component's score is at most score_bound
+    score_rem = np.sqrt(((score + gap / sigma2) ** 2).sum(axis=1))
+    tol = rel_slack * np.maximum(np.maximum(1.0, c.score_bound), np.abs(gap).max(axis=1) / sigma2)
+    score_ok = score_rem <= c.score_bound + tol
+
+    checked = dict(zip(dom.tolist(), zip(*(a.tolist() for a in (
+        i_star, nld, energy, lower, upper, passed, log_rem, log_ok, score_rem, score_ok)))))
+    return [BoundCheckEntry(zs[j], t, checked[j][0], lam_j, *checked[j][1:]) if j in checked
+            else BoundCheckEntry(zs[j], t, None, lam_j, np.nan, np.nan, np.nan, np.nan,
+                                 passed=False, skipped="dominance")
+            for j, lam_j in enumerate(lam_star.tolist())]
+
+
 def check_energy_density_bounds(m: MixtureModel, points, eps: float,
                                 rel_slack: float = REL_SLACK) -> BoundCheckReport:
-    """Verify the affine energy-density bounds at each dominant (z, t).
+    """Verify the affine energy-density bounds and both remainders at each
+    dominant (z, t), one batch per distinct t; entries keep the input order.
 
     Points that fail the dominance precondition are recorded as skipped, not
     as failures.  A bound counts as violated only beyond ``rel_slack``
@@ -140,26 +195,8 @@ def check_energy_density_bounds(m: MixtureModel, points, eps: float,
         by_time.setdefault(t, []).append(j)
     for t, idx in by_time.items():
         zs = np.array([points[j][0] for j in idx], dtype=np.float64)
-        lam = posterior_weights(m, zs, t)
-        nlds = -mixture_log_density(m, zs, t)
-        for j, z, lam_z, nld in zip(idx, zs, lam, nlds.tolist()):
-            i_star = int(np.argmax(lam_z))
-            if lam_z[i_star] < 1.0 - eps:
-                entries[j] = BoundCheckEntry(
-                    z, t, None, float(lam_z[i_star]), np.nan, np.nan, np.nan, np.nan,
-                    passed=False, skipped="dominance")
-                continue
-            consts = bound_constants(m, t, i_star, eps)
-            u = general_velocity(m, z, t)
-            energy = float(u @ u)
-            lower = consts.lower_slope * nld - consts.offset
-            upper = consts.upper_slope * nld + consts.offset
-            tol_lo = rel_slack * max(1.0, abs(lower), energy)
-            tol_hi = rel_slack * max(1.0, abs(upper), energy)
-            ok = (energy >= lower - tol_lo) and (energy <= upper + tol_hi)
-            entries[j] = BoundCheckEntry(
-                z, t, i_star, float(lam_z[i_star]), nld, energy,
-                float(lower), float(upper), passed=ok)
+        for j, entry in zip(idx, _check_at_time(m, zs, t, eps, rel_slack)):
+            entries[j] = entry
     return BoundCheckReport(entries)
 
 
@@ -168,21 +205,10 @@ def check_local_gaussian_remainder(m: MixtureModel, z, t: float, eps: float,
     """Remainder of the single-Gaussian approximation of -log p_t.
 
     Returns (remainder, within_bounds); the remainder must lie in
-    [log(1 - eps), 0].  Requires dominance at (z, t, eps).
+    [log(1 - eps), 0].  None without dominance at (z, t, eps).
     """
-    z = np.asarray(z, dtype=np.float64)
-    i_star = dominance(m, z, t, eps)
-    if i_star is None:
-        return None
-    mus, sigma2 = m._bridge(t)
-    mu_star = mus[i_star]
-    quad = float(((z - mu_star) ** 2).sum()) / (2.0 * sigma2)
-    c0 = (0.5 * m.dim * np.log(2.0 * np.pi) + 0.5 * m.dim * np.log(sigma2)
-          + np.log(m.n_atoms))
-    remainder = -mixture_log_density(m, z, t) - quad - c0
-    lo = np.log1p(-eps)
-    tol = rel_slack * max(1.0, abs(lo), quad, abs(c0))
-    return float(remainder), bool(lo - tol <= remainder <= tol)
+    e = check_energy_density_bounds(m, [(z, t)], eps, rel_slack).entries[0]
+    return None if e.skipped else (e.log_remainder, e.log_remainder_ok)
 
 
 def check_score_remainder(m: MixtureModel, z, t: float, eps: float,
@@ -190,20 +216,10 @@ def check_score_remainder(m: MixtureModel, z, t: float, eps: float,
     """Gap between the mixture score and the dominant component's score.
 
     Returns (||remainder||, within_bound); the norm must not exceed
-    (eps / sigma^2) * max_j ||mu_j - mu_i*||.  Requires dominance.
+    (eps / sigma^2) * max_j ||mu_j - mu_i*||.  None without dominance.
     """
-    z = np.asarray(z, dtype=np.float64)
-    i_star = dominance(m, z, t, eps)
-    if i_star is None:
-        return None
-    mus, sigma2 = m._bridge(t)
-    mu_star = mus[i_star]
-    r = mixture_score(m, z, t) + (z - mu_star) / sigma2
-    r_norm = float(np.linalg.norm(r))
-    spread = float(np.sqrt(((mus - mu_star) ** 2).sum(axis=1)).max())
-    bound = (eps / sigma2) * spread
-    tol = rel_slack * max(1.0, bound, float(np.abs(z - mu_star).max()) / sigma2)
-    return r_norm, bool(r_norm <= bound + tol)
+    e = check_energy_density_bounds(m, [(z, t)], eps, rel_slack).entries[0]
+    return None if e.skipped else (e.score_remainder, e.score_remainder_ok)
 
 
 @dataclass(frozen=True)
@@ -237,28 +253,19 @@ def check_concentration(m: MixtureModel, x_of_t, ts, margin: float) -> Concentra
     score margin drops below ``margin`` are marked invalid and excluded from
     the bound check.
     """
-    if callable(x_of_t):
-        point = x_of_t
-    else:
-        frozen = np.asarray(x_of_t, dtype=np.float64)
-        point = lambda t: frozen
     ts = np.asarray(ts, dtype=np.float64)
     if len(ts) == 0:
         raise ValueError("time grid must be non-empty")
-
-    def scores(t):
-        x = np.asarray(point(t), dtype=np.float64)
-        return ((x[None, :] - t * m.atoms) ** 2).sum(axis=1)
-
-    s0 = scores(ts[0])
-    i_star = int(np.argmin(s0))
+    xs = np.array([x_of_t(t) for t in ts] if callable(x_of_t) else [x_of_t] * len(ts),
+                  dtype=np.float64)
+    scores = _bridge_d2(xs, m.atoms, ts[:, None], np.empty((len(ts), m.n_atoms)))
+    lam = posterior_weights(m, xs, ts)
+    i_star = int(np.argmin(scores[0]))
     report = ConcentrationReport(i_star=i_star)
-    for t in ts:
-        s = scores(t)
+    for t, s, lam_t in zip(ts, scores, lam):
         others = np.delete(s, i_star)
         margin_ok = bool(others.size == 0 or (others - s[i_star]).min() >= margin)
-        lam = posterior_weights(m, point(t), t)
-        measured = float(1.0 - lam[i_star])
+        measured = float(1.0 - lam_t[i_star])
         bound = float((m.n_atoms - 1) * np.exp(-margin / (2.0 * (1.0 - t) ** 2)))
         passed = (not margin_ok) or measured <= bound * (1.0 + REL_SLACK) + 1e-300
         report.entries.append(ConcentrationEntry(float(t), margin_ok, bound,
@@ -385,9 +392,7 @@ def integrated_energy_density(traj, m: MixtureModel):
     times = np.asarray(traj.times, dtype=np.float64)
     if len(times) < 2:
         return 0.0, 0.0, float("nan")
-    t_eval = np.clip(times, T_CLAMP, 1.0 - T_CLAMP)
-    nld = np.array([-mixture_log_density(m, z, t)
-                    for z, t in zip(traj.states, t_eval)])
+    nld = -mixture_log_density(m, traj.states, np.clip(times, T_CLAMP, 1.0 - T_CLAMP))
     integral = float(np.trapezoid(nld, times))
     kpe = float(traj.kpe)
     ratio = kpe / integral if integral != 0.0 else float("nan")

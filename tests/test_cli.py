@@ -366,6 +366,20 @@ class TestRunPipeline:
         assert not any(s["skipped"] for s in manifest["stages"].values())
         assert not (outdir / ".lock").exists()
 
+    def test_truncated_marker_reruns_its_stage(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        (out / ".stage_sample.json").write_text('{"hash": "ab')    # cut short
+        assert main(argv) == EXIT_OK
+        stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+        assert not stages["sample"]["skipped"]
+        assert stages["gen"]["skipped"] and stages["train"]["skipped"]
+        assert json.loads((out / ".stage_sample.json").read_text())["hash"]
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_failed_stage_leaves_no_stale_marker(self, tmp_path, monkeypatch):
         # A completes; B, another solver seed, dies while writing its traces;
         # A again must not take B's partial traces.csv for its own
@@ -407,6 +421,11 @@ class TestRunPipeline:
     @pytest.mark.parametrize("section", [
         {"kts": {"beta0": 5.0}},                         # eta(1) < 0 reverses the flow
         {"solver": {**TINY["solver"], "steps": 0}},
+        {"solver": {**TINY["solver"], "m": 0}},
+        {"dataset": {**TINY["dataset"], "kind": "nope"}},
+        {"dataset": {**TINY["dataset"], "n": 9}},
+        {"diagnostics": {"knn_k": 0}},
+        {"diagnostics": {"k_mem": 1}},                   # f_mem needs k_mem >= 2
     ])
     def test_invalid_values_exit_2_before_any_stage(self, tmp_path, section):
         cfg_path = tmp_path / "cfg.json"
@@ -414,8 +433,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
             == EXIT_INVALID_CONFIG
-        assert not (out / "data.csv").exists()
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("blob, key", [
         ({**TINY, "solvr": {"steps": 10}}, "solvr"),

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from kinflow import cli, efm, theory
 from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                         linear_schedule)
-from kinflow.theory import (blowup_probe, bound_constants, check_concentration,
-                            check_energy_density_bounds,
+                         general_velocity, linear_schedule, mixture_log_density,
+                         mixture_score)
+from kinflow.theory import (REL_SLACK, blowup_probe, bound_constants,
+                            check_concentration, check_energy_density_bounds,
                             check_local_gaussian_remainder,
                             check_score_remainder, integrated_energy_density,
                             sample_dominant_points, universal_lower_bound_check)
@@ -99,6 +101,25 @@ class TestEnergyDensityBounds:
             np.testing.assert_array_equal(
                 [entry.neg_log_density, entry.energy, entry.lower, entry.upper],
                 [alone.neg_log_density, alone.energy, alone.lower, alone.upper])
+        assert 0 < sum(e.skipped is None for e in got) < len(got)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_remainders_keep_input_order_across_times(self, d):
+        # the batched remainders of each entry are the bits of a one-point call
+        rng = np.random.default_rng(16 + d)
+        m = mix(4.0 * rng.standard_normal((20, d)))
+        pts = [(rng.standard_normal(d), t) for t in (0.2, 0.9, 0.5, 0.9, 0.2, 0.5) * 4]
+        got = check_energy_density_bounds(m, pts, eps=0.2).entries
+        for (z, t), entry in zip(pts, got):
+            lg = check_local_gaussian_remainder(m, z, t, 0.2)
+            sr = check_score_remainder(m, z, t, 0.2)
+            if entry.skipped:
+                assert lg is None and sr is None
+                continue
+            assert (entry.log_remainder, entry.log_remainder_ok) == lg
+            assert (entry.score_remainder, entry.score_remainder_ok) == sr
+            assert lg[1] and sr[1]
         assert 0 < sum(e.skipped is None for e in got) < len(got)
 
 
@@ -347,3 +368,128 @@ class TestIntegratedEnergyDensity:
         a = integrated_energy_density(traj, mix(atoms))
         b = integrated_energy_density(traj, mix(np.concatenate([atoms, atoms])))
         assert a[1] == pytest.approx(b[1], rel=1e-12)
+
+
+def bound_offsets_loop(m, t, i_star, eps):
+    """Scalar reference of the bound constants at one (t, i*, eps): slopes,
+    offset, log-normalizer and mean spread."""
+    g, gdot = m.schedule.gamma(t), m.schedule.gamma_dot(t)
+    sigma2 = (1.0 - g) ** 2
+    mus = g * m.atoms
+    mu_star = mus[i_star]
+    spread = float(np.sqrt(((mus - mu_star) ** 2).sum(axis=1)).max())
+    alpha = gdot * sigma2 / (g * (1.0 - g))
+    drift = float(np.linalg.norm((alpha / sigma2) * mu_star))
+    slack = abs(alpha) * (eps / sigma2) * spread
+    m2 = gdot * gdot
+    off_lower = 0.5 * m2 / sigma2 * (mu_star @ mu_star) + 2.0 * (drift + slack) ** 2
+    off_upper = 6.0 * m2 / sigma2 * (mu_star @ mu_star) + 3.0 * (drift ** 2 + slack ** 2)
+    d = m.dim
+    c0 = 0.5 * d * np.log(2.0 * np.pi) + 0.5 * d * np.log(sigma2) + np.log(m.n_atoms)
+    k_t = abs(c0) - np.log1p(-eps)
+    offset = max(off_lower + 0.5 * m2 * k_t, off_upper + 12.0 * m2 * k_t)
+    return 0.5 * m2, 12.0 * m2, offset, c0, spread
+
+
+def checks_loop(m, points, eps):
+    """Per-point reference of the bound and remainder checks: every check of
+    every point makes its own posterior passes through the public queries."""
+    n_checked = n_failed = rem_failed = 0
+    for z, t in points:
+        i_star = dominance(m, z, t, eps)
+        if i_star is None:
+            continue
+        n_checked += 1
+        c1, c2, offset, c0, spread = bound_offsets_loop(m, t, i_star, eps)
+        nld = -mixture_log_density(m, z, t)
+        u = general_velocity(m, z, t)
+        energy = float(u @ u)
+        lower, upper = c1 * nld - offset, c2 * nld + offset
+        n_failed += not (energy >= lower - REL_SLACK * max(1.0, abs(lower), energy)
+                         and energy <= upper + REL_SLACK * max(1.0, abs(upper), energy))
+        mus, sigma2 = m._bridge(t)
+        gap = z - mus[i_star]
+        quad = float(gap @ gap) / (2.0 * sigma2)
+        remainder = nld - quad - c0
+        lo = np.log1p(-eps)
+        tol = REL_SLACK * max(1.0, abs(lo), quad, abs(c0))
+        log_ok = lo - tol <= remainder <= tol
+        r_norm = np.linalg.norm(mixture_score(m, z, t) + gap / sigma2)
+        bound = (eps / sigma2) * spread
+        score_ok = r_norm <= bound + REL_SLACK * max(1.0, bound, np.abs(gap).max() / sigma2)
+        rem_failed += not (log_ok and score_ok)
+    return n_checked, n_failed, rem_failed
+
+
+def theory_report_loop(atoms_by_dim, eps_values, seed):
+    """The bounds and remainders sections of ``cli._theory_report``, built
+    point by point."""
+    rng = np.random.default_rng(seed)
+    bounds, remainders = [], []
+    for dim, atoms in atoms_by_dim.items():
+        m = mix(atoms)
+        for eps in eps_values:
+            points, rejected = dominant_points_loop(m, np.linspace(0.1, 0.9, 9), eps, 40, rng)
+            n_checked, n_failed, rem_failed = checks_loop(m, points, eps)
+            bounds.append({"dim": dim, "n_atoms": len(atoms), "eps": eps,
+                           "n_checked": n_checked, "n_skipped": len(points) - n_checked,
+                           "rejected_in_sampling": rejected,
+                           "pass_rate": 1.0 - n_failed / n_checked if n_checked else 1.0})
+            remainders.append({"dim": dim, "eps": eps, "n_checked": len(points),
+                               "n_failed": rem_failed})
+    return bounds, remainders
+
+
+def report_atoms(seed):
+    rng = np.random.default_rng(seed)
+    return {d: 3.0 * rng.standard_normal((50, d)) for d in (1, 2, 5)}
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("seed", [0, 3, 11, 29])
+    def test_report_matches_per_point_loop(self, seed):
+        eps_values = [0.05, 0.1, 0.3]
+        report = cli._theory_report(report_atoms(seed), eps_values, seed)
+        bounds, remainders = theory_report_loop(report_atoms(seed), eps_values, seed)
+        assert report["bounds"] == bounds
+        assert report["remainders"] == remainders
+        assert all(b["n_checked"] > 0 for b in bounds)
+
+    def test_one_posterior_pass_per_time_group(self, monkeypatch):
+        # sampling at each t, the checks of each (dim, eps, t) group holding a
+        # dominant point, the concentration grid, each blow-up search time tried
+        # and the integrated trajectory make one log-weight call apiece per dim;
+        # per-point passes would add about five calls per checked point
+        atoms, rng = report_atoms(5), np.random.default_rng(5)
+        groups = sum(len({t for _, t in sample_dominant_points(
+            mix(a), np.linspace(0.1, 0.9, 9), 0.1, 40, rng)[0]}) for a in atoms.values())
+        calls = []
+        real = efm._log_weights
+        monkeypatch.setattr(efm, "_log_weights",
+                            lambda m, zs, t: calls.append(len(zs)) or real(m, zs, t))
+        report = cli._theory_report(atoms, [0.1], 5)
+        grid = list(1.0 - np.geomspace(0.5, 1e-3, 200))
+        searched = sum(grid.index(b["t_bar"]) + 1 for b in report["blowup"])
+        assert len(calls) == 3 * (9 + 1 + 1) + groups + searched
+        checked = sum(b["n_checked"] for b in report["bounds"])
+        assert checked > 2 * groups and report["all_passed"]
+
+    @pytest.mark.parametrize("name, plant, section", [
+        # a velocity 1e4 times too fast: the energy exceeds the upper bound
+        ("_velocity", lambda real: lambda *a: 1e4 * real(*a), "bounds"),
+        # log p_t one nat too high: the log remainder leaves [log(1 - eps), 0]
+        ("_softmax_parts",
+         lambda real: lambda *a: (lambda w, tot, lp, one: (w, tot, lp + 1.0, one))(*real(*a)),
+         "remainders"),
+        # a score shifted far off: the score remainder exceeds its bound
+        ("_score", lambda real: lambda *a: real(*a) + 1e6, "remainders"),
+    ])
+    def test_planted_violation_is_counted(self, monkeypatch, name, plant, section):
+        monkeypatch.setattr(theory, name, plant(getattr(theory, name)))
+        report = cli._theory_report({2: report_atoms(5)[2]}, [0.1], 5)
+        checked = report["bounds"][0]["n_checked"]
+        assert checked > 0 and not report["all_passed"]
+        if section == "bounds":
+            assert report["bounds"][0]["pass_rate"] == 0.0
+        else:
+            assert report["remainders"][0]["n_failed"] == checked
