@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import datasets, diagnostics, net, sampler, svgplot, theory
-from .efm import EfmField, MixtureModel, linear_schedule
+from .efm import EfmField, MixtureModel, _sq_dists, linear_schedule
 
 VERSION = "0.1.0"
 
@@ -254,7 +254,7 @@ def _isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
         x = atoms[0].copy()
         x[0] += 1.0
         return x, 0.9
-    d2 = ((atoms[:, None, :] - atoms[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(atoms, atoms, 1.0)
     np.fill_diagonal(d2, np.inf)
     nearest = np.sqrt(d2.min(axis=1))
     j = int(np.argmax(nearest))
@@ -262,8 +262,7 @@ def _isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
     direction[0] = 1.0
     offset = nearest[j] / 3.0
     x = atoms[j] + offset * direction
-    gaps = np.sqrt(((x[None, :] - atoms) ** 2).sum(axis=1))
-    return x, 0.9 * float(gaps.min())
+    return x, 0.9 * float(np.sqrt(_sq_dists(x[None, :], atoms, 1.0).min()))
 
 
 def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -> dict:
@@ -487,6 +486,8 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
     per-variant energy-by-stratum box summaries when a dataset is given."""
     if not trace_files:
         raise ValueError("no trace files given")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"plot labels must be distinct, got {labels}")
     os.makedirs(outdir, exist_ok=True)
     written = []
     cum_plot = svgplot.LinePlot(title="cumulative kinetic energy", x_label="t",
@@ -507,14 +508,10 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
         if data is not None:
             endpoints = np.array([[tr["x"][-1], tr["y"][-1]] for tr in trajs])
             kpes = np.array([tr["cum_kpe"][-1] for tr in trajs])
-            d2 = ((endpoints[:, None, :] - data.points[None, :, :]) ** 2).sum(axis=2)
-            strata = [data.strata[i] for i in d2.argmin(axis=1)]
-            groups = {}
-            for s, k in zip(strata, kpes):
-                groups.setdefault(s, []).append(k)
+            strata = diagnostics.nearest_strata(endpoints, data)
+            groups = {s: kpes[strata == s] for s in sorted(set(strata.tolist()))}
             box_path = os.path.join(outdir, f"kpe_by_stratum_{label}.svg")
-            svgplot.box_summary(box_path, f"energy by stratum ({label})",
-                                {k: np.array(v) for k, v in sorted(groups.items())})
+            svgplot.box_summary(box_path, f"energy by stratum ({label})", groups)
             written.append(box_path)
     cum_path = os.path.join(outdir, "cumulative_energy.svg")
     pow_path = os.path.join(outdir, "instant_power.svg")
@@ -528,6 +525,9 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
+    tc, solver, kts, diag = (defaults.train, defaults.solver, defaults.kts,
+                             defaults.diagnostics)
     p = argparse.ArgumentParser(prog="kinflow", description=__doc__)
     p.add_argument("--version", action="version", version=VERSION)
     sub = p.add_subparsers(dest="command", required=True)
@@ -540,11 +540,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train the MLP velocity field")
     t.add_argument("--data", required=True)
-    t.add_argument("--iters", type=int, default=50_000)
-    t.add_argument("--lr", type=float, default=3e-4)
-    t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--batch", type=int, default=256)
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--iters", type=int, default=tc.iterations)
+    t.add_argument("--lr", type=float, default=tc.learning_rate)
+    t.add_argument("--weight-decay", type=float, default=tc.weight_decay)
+    t.add_argument("--batch", type=int, default=tc.batch_size)
+    t.add_argument("--seed", type=int, default=tc.seed)
     t.add_argument("--out", required=True)
     t.add_argument("--loss-curve", default=None)
 
@@ -552,14 +552,14 @@ def _build_parser() -> argparse.ArgumentParser:
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="MLP checkpoint path")
     src.add_argument("--efm", help="dataset CSV used as closed-form atoms")
-    s.add_argument("--solver", choices=("euler", "midpoint"), default="euler")
-    s.add_argument("--steps", type=int, default=100)
-    s.add_argument("--m", type=int, default=500)
-    s.add_argument("--seed", type=int, default=5)
-    s.add_argument("--alpha0", type=float, default=0.0)
-    s.add_argument("--beta0", type=float, default=0.0)
-    s.add_argument("--k", type=float, default=3.0)
-    s.add_argument("--tau-split", type=float, default=0.6)
+    s.add_argument("--solver", choices=("euler", "midpoint"), default=solver.method)
+    s.add_argument("--steps", type=int, default=solver.steps)
+    s.add_argument("--m", type=int, default=solver.m)
+    s.add_argument("--seed", type=int, default=solver.seed)
+    s.add_argument("--alpha0", type=float, default=kts.alpha0)
+    s.add_argument("--beta0", type=float, default=kts.beta0)
+    s.add_argument("--k", type=float, default=kts.k)
+    s.add_argument("--tau-split", type=float, default=kts.tau_split)
     s.add_argument("--delta-cut", type=float, default=None,
                    help="terminal cutoff; defaults to 0 (model) or 1e-3 (efm)")
     s.add_argument("--neighbors", type=int, default=100,
@@ -570,15 +570,15 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--traces", required=True, help="directory with summary.json")
     d.add_argument("--data", required=True)
     d.add_argument("--heldout", default=None)
-    d.add_argument("--k", type=int, default=50)
-    d.add_argument("--bandwidth", type=float, default=0.1)
-    d.add_argument("--tau-gap", type=float, default=1.0 / 3.0)
-    d.add_argument("--k-mem", type=int, default=2)
+    d.add_argument("--k", type=int, default=diag.knn_k)
+    d.add_argument("--bandwidth", type=float, default=diag.kde_bandwidth)
+    d.add_argument("--tau-gap", type=float, default=diag.tau_gap)
+    d.add_argument("--k-mem", type=int, default=diag.k_mem)
     d.add_argument("--out", required=True)
 
     v = sub.add_parser("verify-theory", help="run the numerical bound suites")
     v.add_argument("--data", default=None, help="CSV atoms for the 2D case")
-    v.add_argument("--eps", type=float, default=0.1)
+    v.add_argument("--eps", type=float, default=diag.eps)
     v.add_argument("--dims", default="1,2,5")
     v.add_argument("--atoms", type=int, default=50)
     v.add_argument("--seed", type=int, default=0)
@@ -591,10 +591,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="held-out CSV, disjoint from --data")
     k.add_argument("--alpha0-grid", default="0,0.01,0.02")
     k.add_argument("--beta0-grid", default="0,0.01,0.02")
-    k.add_argument("--solver", choices=("euler", "midpoint"), default="euler")
-    k.add_argument("--steps", type=int, default=100)
-    k.add_argument("--m", type=int, default=500)
-    k.add_argument("--seed", type=int, default=5)
+    k.add_argument("--solver", choices=("euler", "midpoint"), default=solver.method)
+    k.add_argument("--steps", type=int, default=solver.steps)
+    k.add_argument("--m", type=int, default=solver.m)
+    k.add_argument("--seed", type=int, default=solver.seed)
     k.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="full cached pipeline")

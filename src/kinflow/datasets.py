@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .efm import _row_step, _sq_dists
+
 DENSE_SPARSE = "dense_sparse"
 MULTISCALE_CLUSTERS = "multiscale_clusters"
 SANDWICH = "sandwich"
@@ -193,18 +195,15 @@ class KdeEstimator:
     def density(self, q) -> np.ndarray | float:
         """Evaluate the density at one query point (d,) or a batch (m, d)."""
         q = np.asarray(q, dtype=np.float64)
-        single = q.ndim == 1
-        qs = q[None, :] if single else q
+        qs = q.reshape(-1, q.shape[-1])
         h2 = self.bandwidth ** 2
-        # (m, n) squared distances; chunk to bound memory on large batches
         out = np.empty(len(qs))
         norm = 1.0 / (len(self.points) * 2.0 * np.pi * h2)
-        step = max(1, int(2e6 / max(len(self.points), 1)))
+        step = _row_step(len(qs), len(self.points))
         for lo in range(0, len(qs), step):
-            chunk = qs[lo:lo + step]
-            d2 = ((chunk[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+            d2 = _sq_dists(qs[lo:lo + step], self.points, 1.0)
             out[lo:lo + step] = norm * np.exp(-d2 / (2.0 * h2)).sum(axis=1)
-        return float(out[0]) if single else out
+        return float(out[0]) if q.ndim == 1 else out
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
@@ -243,6 +242,9 @@ def loads_csv(text: str) -> LabeledDataset:
     for row in reader:
         if not row:
             continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"line {reader.line_num}: expected {len(CSV_HEADER)} fields "
+                             f"({','.join(CSV_HEADER)}), got {len(row)}")
         xs.append(float(row[0]))
         ys.append(float(row[1]))
         strata.append(row[2])

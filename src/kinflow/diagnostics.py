@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datasets import KdeEstimator, LabeledDataset
+from .efm import _sq_dists
 
 #: combined sample size at or below which the Mann-Whitney p-value is exact
 MWU_EXACT_LIMIT = 20
@@ -29,23 +30,20 @@ class UndefinedStatistic(ValueError):
     """A statistic has no defined value for the given input (e.g. zero spread)."""
 
 
-def _ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def knn_density(train, q, k: int) -> float:
-    """k-NN density k / (n * V_d * r_k^d); returns +inf when r_k is zero."""
+def knn_density(train, q, k: int) -> float | np.ndarray:
+    """k-NN density k / (n * V_d * r_k^d) at one (d,) point, a float, or at
+    each row of an (m, d) batch, an (m,) array; +inf where r_k is zero."""
     train = np.asarray(train, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n = len(train)
+    n, d = train.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    d2 = ((train - q[None, :]) ** 2).sum(axis=1)
-    r_k = float(np.sqrt(np.partition(d2, k - 1)[k - 1]))
-    if r_k == 0.0:
-        return math.inf
-    d = train.shape[1]
-    return k / (n * _ball_volume(d) * r_k ** d)
+    d2 = _sq_dists(q.reshape(-1, q.shape[-1]), train, 1.0)
+    d2.partition(k - 1, axis=1)
+    volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    with np.errstate(divide="ignore"):
+        density = k / (n * volume * np.sqrt(d2[:, k - 1]) ** d)
+    return float(density[0]) if q.ndim == 1 else density
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -79,13 +77,14 @@ def spearman(xs, ys) -> float:
 
 
 def cliffs_delta(a, b) -> float:
-    """Pairwise dominance effect size (#{a > b} - #{a < b}) / (|a| |b|)."""
+    """Pairwise dominance effect size (#{a > b} - #{a < b}) / (|a| |b|), which
+    is (2 U(a, b) - |a| |b|) / (|a| |b|); the numerator is an exact integer."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
-    diff = a[:, None] - b[None, :]
-    return float(((diff > 0).sum() - (diff < 0).sum()) / (len(a) * len(b)))
+    pairs = len(a) * len(b)
+    return (2.0 * _u_statistic(a, b) - pairs) / pairs
 
 
 def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -174,10 +173,10 @@ def f_mem(generated, train, tau_gap: float = 1.0 / 3.0,
     train = np.asarray(train, dtype=np.float64)
     if k_mem < 2 or len(train) < k_mem:
         raise ValueError(f"need len(train) >= k_mem >= 2, got {len(train)}, {k_mem}")
-    d2 = ((generated[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-    part = np.partition(d2, k_mem - 1, axis=1)
-    d1 = np.sqrt(part[:, 0])
-    dk = np.sqrt(part[:, k_mem - 1])
+    d2 = _sq_dists(generated, train, 1.0)
+    d2.partition(k_mem - 1, axis=1)
+    d1 = np.sqrt(d2[:, 0])
+    dk = np.sqrt(d2[:, k_mem - 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dk > 0, d1 / dk, 0.0)
     memorized = ratios < tau_gap
@@ -196,9 +195,15 @@ def exact_w2(a, b) -> float:
         raise ValueError(f"point sets must have equal size, got {len(a)} and {len(b)}")
     if len(a) > 1024:
         raise ValueError("exact matching is limited to 1024 points")
-    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    cost = _sq_dists(a, b, 1.0)
     rows, cols = linear_sum_assignment(cost)
     return float(math.sqrt(cost[rows, cols].mean()))
+
+
+def nearest_strata(points, dataset: LabeledDataset) -> np.ndarray:
+    """The stratum label of each point's nearest training point (the first on ties)."""
+    d2 = _sq_dists(np.asarray(points, dtype=np.float64), dataset.points, 1.0)
+    return np.array(dataset.strata)[d2.argmin(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -234,17 +239,12 @@ def kpe_density_report(kpes, endpoints, dataset: LabeledDataset,
     if len(kpes) < 30:
         raise ValueError("need at least 30 trajectories")
 
-    train = dataset.points
-    knn = np.array([knn_density(train, q, knn_k) for q in endpoints])
-    kde = KdeEstimator(train, kde_bandwidth).density(endpoints)
-    log_knn = np.log(np.maximum(knn, DENSITY_FLOOR))
-    log_kde = np.log(np.maximum(kde, DENSITY_FLOOR))
-    rho_knn = spearman(kpes, log_knn)
-    rho_kde = spearman(kpes, log_kde)
+    knn = knn_density(dataset.points, endpoints, knn_k)
+    kde = KdeEstimator(dataset.points, kde_bandwidth).density(endpoints)
+    rho_knn, rho_kde = (spearman(kpes, np.log(np.maximum(dens, DENSITY_FLOOR)))
+                        for dens in (knn, kde))
 
-    d2 = ((endpoints[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.argmin(axis=1)
-    sparse_mask = np.array([dataset.strata[i].startswith("sparse") for i in nearest])
+    sparse_mask = np.char.startswith(nearest_strata(endpoints, dataset), "sparse")
     kpe_sparse = kpes[sparse_mask]
     kpe_dense = kpes[~sparse_mask]
     if len(kpe_sparse) == 0 or len(kpe_dense) == 0:

@@ -99,18 +99,28 @@ def _time_terms(m: MixtureModel, t):
     return terms[:, :1], terms[:, 1:]
 
 
-def _bridge_d2(xs: np.ndarray, atoms: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
-    """||x_b - scale * x_i||^2 of the (B, d) queries against the (N, d) atoms,
-    written into ``out`` (B, N); ``scale`` is a scalar or a (B, 1) column.
+def _row_step(n_rows: int, n_cols: int) -> int:
+    """Rows per block, for even blocks of at most ``BLOCK_ELEMS`` elements."""
+    blocks = -(-n_rows // max(1, BLOCK_ELEMS // n_cols))
+    return -(-n_rows // blocks) if n_rows else 1
+
+
+def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
+    """||x_b - scale * y_i||^2 of the (B, d) points ``xs`` against the (N, d)
+    points ``ys``, (B, N), into ``out`` if given; ``scale`` is 1.0 for plain
+    distances, or a scalar or (B, 1) column of bridge factors.
 
     Direct differences, squared and summed coordinate by coordinate: the
-    expanded quadratic form cancels badly once (1 - t)^2 is small.  For
-    d < 8 the sum is bitwise numpy's ``.sum(axis=1)`` of the squares.
+    expanded form ||x||^2 - 2 x.y + ||y||^2 cancels badly for near points.
+    For d < 8 the sum is bitwise the broadcast ``.sum(axis=-1)`` of squares.
     """
-    part = np.empty_like(out) if atoms.shape[1] > 1 else None
-    for k in range(atoms.shape[1]):
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError(f"points of dimension {xs.shape[1]} against {ys.shape[1]}")
+    out = np.empty((len(xs), len(ys))) if out is None else out
+    part = np.empty_like(out) if ys.shape[1] > 1 else None
+    for k in range(ys.shape[1]):
         dst = out if k == 0 else part
-        np.multiply(scale, atoms[:, k], out=dst)
+        np.multiply(scale, ys[:, k], out=dst)
         np.subtract(xs[:, k, None], dst, out=dst)
         np.square(dst, out=dst)
         if k:
@@ -122,7 +132,7 @@ def _log_weights(m: MixtureModel, zs: np.ndarray, t) -> tuple[np.ndarray, float 
     """Unnormalized log responsibilities of the (B, d) queries at one time or
     one time per row, (B, N), and sigma^2 (a float or a (B, 1) column)."""
     g, sigma2 = _time_terms(m, t)
-    logw = _bridge_d2(zs, m.atoms, g, np.empty((len(zs), m.n_atoms)))
+    logw = _sq_dists(zs, m.atoms, g)
     np.negative(logw, out=logw)
     logw /= 2.0 * sigma2
     return logw, sigma2
@@ -278,15 +288,14 @@ def _efm_rows(atoms: np.ndarray, xs: np.ndarray, t, neighbors: int | None) -> np
     t = np.asarray(t, dtype=np.float64)
     n_rows, n_atoms = len(xs), len(atoms)
     truncate = neighbors is not None and neighbors < n_atoms
-    blocks = -(-n_rows // max(1, BLOCK_ELEMS // n_atoms))
-    step = -(-n_rows // blocks) if n_rows else 1
+    step = _row_step(n_rows, n_atoms)
     d2_buf = np.empty((min(step, n_rows), n_atoms))
     out = np.empty(xs.shape)
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
         tc = np.clip(tb, T_CLAMP, 1.0 - T_CLAMP)
-        logw = d2 = _bridge_d2(x, atoms, tc, d2_buf[:len(x)])
+        logw = d2 = _sq_dists(x, atoms, tc, d2_buf[:len(x)])
         if truncate:
             kept = np.argpartition(d2, neighbors - 1, axis=1)[:, :neighbors]
             logw = np.take_along_axis(d2, kept, axis=1)

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .efm import (EfmField, MixtureModel, T_CLAMP, _bridge_d2, _check_unit_interval,
+from .efm import (EfmField, MixtureModel, T_CLAMP, _check_unit_interval,
                   _dominant, _efm_rows, _score, _score_coeffs, _softmax_parts,
-                  _velocity, dominance, mixture_log_density, posterior_weights)
+                  _sq_dists, _velocity, dominance, mixture_log_density, posterior_weights)
 
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
@@ -68,7 +68,7 @@ def _bound_terms(m: MixtureModel, t: float, i_star: np.ndarray, eps: float) -> B
     c2 = 12.0 * m2_sigma2
 
     mu_star = g * m.atoms[i_star]
-    d2 = _bridge_d2(mu_star, m.atoms, g, np.empty((len(i_star), m.n_atoms)))
+    d2 = _sq_dists(mu_star, m.atoms, g)
     spread = np.sqrt(d2.max(axis=1))
     drift = np.sqrt((((alpha / sigma2) * mu_star) ** 2).sum(axis=1))
     score_bound = (eps / sigma2) * spread
@@ -258,7 +258,7 @@ def check_concentration(m: MixtureModel, x_of_t, ts, margin: float) -> Concentra
         raise ValueError("time grid must be non-empty")
     xs = np.array([x_of_t(t) for t in ts] if callable(x_of_t) else [x_of_t] * len(ts),
                   dtype=np.float64)
-    scores = _bridge_d2(xs, m.atoms, ts[:, None], np.empty((len(ts), m.n_atoms)))
+    scores = _sq_dists(xs, m.atoms, ts[:, None])
     lam = posterior_weights(m, xs, ts)
     i_star = int(np.argmin(scores[0]))
     report = ConcentrationReport(i_star=i_star)
@@ -314,10 +314,9 @@ def blowup_probe(f: EfmField, x, c: float, deltas,
     x = np.asarray(x, dtype=np.float64)
     if c <= 0:
         raise ValueError("c must be > 0")
-    gaps = np.sqrt(((x[None, :] - f.atoms) ** 2).sum(axis=1))
-    if gaps.min() < c:
-        raise ValueError(
-            f"non-collision hypothesis failed: min atom gap {gaps.min():.6g} < c={c}")
+    gap = float(np.sqrt(_sq_dists(x[None, :], f.atoms, 1.0).min()))
+    if gap < c:
+        raise ValueError(f"non-collision hypothesis failed: min atom gap {gap:.6g} < c={c}")
     deltas = sorted(float(d) for d in np.atleast_1d(deltas))
     if deltas[0] <= 0:
         raise ValueError("all deltas must be > 0")

@@ -2,16 +2,18 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinflow import datasets, net, sampler, theory
 from kinflow.cli import (EXIT_CHECK_FAILURE, EXIT_INVALID_CONFIG, EXIT_OK,
-                         ExperimentConfig, StageFailure, config_hash, emit_plots,
-                         main, run_pipeline, stage_gen, stage_verify)
+                         ExperimentConfig, StageFailure, _build_parser, config_hash,
+                         emit_plots, main, run_pipeline, stage_gen, stage_verify)
 
 TINY = {
     "dataset": {"kind": "dense_sparse", "n": 60, "seed": 7},
@@ -123,6 +125,17 @@ class TestSampleCommand:
             blocks[k] = json.loads((out / "summary.json").read_text())["solver"]
         assert blocks["2"]["k"] == 2.0 and blocks["3"]["k"] == 3.0
         assert blocks["2"] != blocks["3"]
+
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,dense_core,extra"])
+    def test_csv_row_with_wrong_field_count_exits_2(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y,stratum\n0.5,0.5,dense_core\n{row}\n")
+        out = tmp_path / "out"
+        code = main(["sample", "--efm", str(bad), "--steps", "2", "--m", "3",
+                     "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -269,6 +282,38 @@ class TestPlotCommand:
     def test_empty_traces_invalid(self, tmp_path):
         code = main(["plot", "--traces", "", "--out", str(tmp_path / "p")])
         assert code == EXIT_INVALID_CONFIG
+
+    def test_duplicate_labels_exit_2(self, tiny_artifacts, tmp_path):
+        # both files default to the label "traces"; their stratum boxes
+        # would share one file name
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "traces.csv"))
+            shutil.copy(tiny_artifacts["traces"] / "traces.csv", paths[-1])
+        out = tmp_path / "plots"
+        code = main(["plot", "--traces", ",".join(paths),
+                     "--data", str(tiny_artifacts["data"]), "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert not out.exists()
+        with pytest.raises(ValueError, match="distinct"):
+            emit_plots(paths, ["x", "x"], str(out))
+
+    def test_no_broadcast_temporary(self, tmp_path):
+        # the stratum boxes compare m endpoints with n training points; a
+        # broadcast block would hold an (m, n, 2) difference and the (m, n)
+        # result at once, 3 (m, n) arrays, the kernel at most 2
+        m, n = 100, 4000
+        data = datasets.generate("dense_sparse", n, 3)
+        trajs = sampler.sample_batch(lambda x, t: -x, m, sampler.SolverConfig(steps=5, seed=1))
+        sampler.save_traces(trajs, tmp_path / "traces.csv")
+        tracemalloc.start()
+        try:
+            emit_plots([str(tmp_path / "traces.csv")], ["a"], str(tmp_path / "p"), data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * m * n * 8
 
     def test_efm_mean_power_peaks_at_final_grid_point(self, tiny_artifacts,
                                                       tmp_path):
@@ -510,6 +555,27 @@ class TestExperimentConfig:
         assert isinstance(cfg.solver, sampler.SolverConfig)
         assert (cfg.solver.seed, cfg.solver.m) == (5, 500)
         assert type(cfg.kts) is sampler.KtsSchedule
+
+    def test_parsed_defaults_are_the_dataclass_fields(self):
+        cfg = ExperimentConfig()
+        tc, solver, kts, diag = cfg.train, cfg.solver, cfg.kts, cfg.diagnostics
+        parse = _build_parser().parse_args
+        train = parse(["train", "--data", "d", "--out", "o"])
+        assert (train.iters, train.lr, train.weight_decay, train.batch, train.seed) == \
+            (tc.iterations, tc.learning_rate, tc.weight_decay, tc.batch_size, tc.seed)
+        for argv in (["sample", "--efm", "d", "--out", "o"],
+                     ["kts-sweep", "--model", "c", "--data", "d", "--heldout", "h",
+                      "--out", "o"]):
+            args = parse(argv)
+            assert (args.solver, args.steps, args.m, args.seed) == \
+                (solver.method, solver.steps, solver.m, solver.seed)
+        sample = parse(["sample", "--efm", "d", "--out", "o"])
+        assert (sample.alpha0, sample.beta0, sample.k, sample.tau_split) == \
+            (kts.alpha0, kts.beta0, kts.k, kts.tau_split)
+        diagnose = parse(["diagnose", "--traces", "t", "--data", "d", "--out", "o"])
+        assert (diagnose.k, diagnose.bandwidth, diagnose.tau_gap, diagnose.k_mem) == \
+            (diag.knn_k, diag.kde_bandwidth, diag.tau_gap, diag.k_mem)
+        assert parse(["verify-theory", "--out", "o"]).eps == diag.eps
 
     def test_master_seed(self):
         cfg = ExperimentConfig().with_master_seed(100)

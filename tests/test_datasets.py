@@ -6,7 +6,7 @@ import pytest
 from kinflow import datasets
 from kinflow.datasets import (KdeEstimator, gen_dense_sparse,
                               gen_multiscale_clusters, gen_sandwich, generate,
-                              infer_kind, load_csv, save_csv)
+                              infer_kind, load_csv, loads_csv, save_csv)
 
 
 class TestDenseSparse:
@@ -158,6 +158,11 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,dense_core\n")
         with pytest.raises(ValueError):
             load_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,dense_core,extra"])
+    def test_rows_need_exactly_three_fields(self, row):
+        with pytest.raises(ValueError, match="line 3: expected 3 fields"):
+            loads_csv(f"x,y,stratum\n0.5,0.5,dense_core\n{row}\n")
 
     def test_infer_kind(self):
         assert infer_kind(["dense_core", "sparse_ring"]) == "dense_sparse"

@@ -1,16 +1,36 @@
 """Tests for density estimates, rank statistics, memorization, and exact W2."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinflow import diagnostics
 from kinflow.datasets import gen_dense_sparse
 from kinflow.diagnostics import (UndefinedStatistic, cliffs_delta, cohens_d,
                                  exact_w2, f_mem, knn_density,
                                  kpe_density_report, mann_whitney_u, spearman)
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def no_broadcast_bound(m: int, n: int, d: int) -> float:
+    """Bytes below which an (m, n) comparison cannot have held a broadcast
+    block: that holds its (m, n, d) difference next to the (m, n) result,
+    d + 1 (m, n) float64 arrays.  The kernel holds its result and one work
+    array, 2 of them."""
+    return (d + 0.5) * m * n * 8
 
 
 class TestKnnDensity:
@@ -36,6 +56,8 @@ class TestKnnDensity:
         train = np.zeros((3, 2))
         with pytest.raises(ValueError):
             knn_density(train, np.zeros(2), k=4)
+        with pytest.raises(ValueError, match="dimension"):
+            knn_density(train, np.zeros(4), k=1)
         with pytest.raises(ValueError):
             knn_density(train, np.zeros(2), k=0)
 
@@ -44,6 +66,34 @@ class TestKnnDensity:
         near = knn_density(train, np.array([0.1, 0.0]), k=1)
         far = knn_density(train, np.array([0.2, 0.0]), k=1)
         assert near > far
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_batch_rows_equal_single_calls_bitwise(self, d):
+        rng = np.random.default_rng(70 + d)
+        train = rng.standard_normal((500, d))
+        qs = np.vstack([train[:1], 2.0 * rng.standard_normal((199, d))])
+        batch = knn_density(train, qs, k=1)
+        singles = [knn_density(train, q, k=1) for q in qs]
+        assert batch.shape == (200,) and all(type(v) is float for v in singles)
+        assert np.array_equal(batch, singles)
+        assert batch[0] == math.inf and np.isfinite(batch[1:]).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_batch_within_ulps_of_the_scalar_formula(self, d):
+        # the per-point formula with Python's pow for r_k^d.  Over 6000
+        # random queries per d, numpy's array power differed from it by at
+        # most 1 ulp; the product and quotient took that to at most 2 ulp in
+        # the density at d = 2 (7 values) and 3 ulp at d = 5 (243 values)
+        rng = np.random.default_rng(80 + d)
+        train = rng.standard_normal((500, d))
+        qs = 2.0 * rng.standard_normal((200, d))
+        volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+        want = []
+        for q in qs:
+            d2 = ((train - q[None, :]) ** 2).sum(axis=1)
+            r_k = float(np.sqrt(np.partition(d2, 4)[4]))
+            want.append(5 / (len(train) * volume * r_k ** d))
+        np.testing.assert_array_max_ulp(knn_density(train, qs, k=5), np.array(want), maxulp=3)
 
 
 class TestSpearman:
@@ -85,6 +135,15 @@ class TestCliffsDelta:
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal(9), rng.standard_normal(7)
         assert cliffs_delta(a, b) == pytest.approx(-cliffs_delta(b, a))
+
+    def test_bitwise_equals_pairwise_counts_on_tied_integers(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            a = rng.integers(0, 5, int(rng.integers(1, 60))).astype(float)
+            b = rng.integers(0, 5, int(rng.integers(1, 60))).astype(float)
+            diff = a[:, None] - b[None, :]
+            counted = float(((diff > 0).sum() - (diff < 0).sum()) / (len(a) * len(b)))
+            assert cliffs_delta(a, b).hex() == counted.hex()
 
 
 class TestMannWhitney:
@@ -295,3 +354,31 @@ class TestKpeDensityReport:
         data = gen_dense_sparse(100, 4)
         with pytest.raises(ValueError):
             kpe_density_report(np.ones(10), data.points[:10], data)
+
+    def test_one_knn_call_per_report(self, monkeypatch):
+        data = gen_dense_sparse(200, 3)
+        calls = []
+        knn = diagnostics.knn_density
+        monkeypatch.setattr(diagnostics, "knn_density",
+                            lambda *a, **kw: calls.append(a) or knn(*a, **kw))
+        kpe_density_report(np.arange(60.0), data.points[90:150], data)
+        assert len(calls) == 1 and np.shape(calls[0][1]) == (60, 2)
+
+    def test_no_broadcast_temporary(self):
+        data = gen_dense_sparse(4000, 3)
+        rng = np.random.default_rng(6)
+        endpoints = data.points[rng.choice(4000, 100, replace=False)] \
+            + 0.05 * rng.standard_normal((100, 2))
+        kpes = rng.gamma(2.0, size=100)
+        peak = peak_bytes(lambda: kpe_density_report(kpes, endpoints, data))
+        assert peak < no_broadcast_bound(100, 4000, 2)
+
+
+class TestComparisonMemory:
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_f_mem_holds_no_broadcast_temporary(self, d):
+        rng = np.random.default_rng(7)
+        train = rng.standard_normal((4000, d))
+        generated = rng.standard_normal((100, d))
+        peak = peak_bytes(lambda: f_mem(generated, train))
+        assert peak < no_broadcast_bound(100, 4000, d)

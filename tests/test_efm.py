@@ -222,6 +222,41 @@ class TestBlockedKernel:
         assert peak <= out.nbytes + 4 * 8 * efm.BLOCK_ELEMS + 65536
 
 
+def broadcast_sq_dists(xs, ys, scale=1.0):
+    """The broadcast form the kernel replaces, with its (B, N, d) temporary."""
+    return ((xs[:, None, :] - np.asarray(scale)[..., None] * ys[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestSqDists:
+    # (rows, columns) of each caller: a KDE row block and one KDE query, k-NN,
+    # f_mem and nearest strata on a ci diagnose, the W2 cost matrix, the
+    # isolated-probe self distances and the blow-up probe's atom gaps
+    SHAPES = ((65, 1000), (1, 1000), (200, 500), (200, 200), (50, 50), (1, 50))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_bitwise_equals_broadcast_at_each_callers_shape(self, d):
+        rng = np.random.default_rng(50 + d)
+        for b, n in self.SHAPES:
+            xs = 2.0 * rng.standard_normal((b, d))
+            ys = rng.standard_normal((n, d))
+            assert np.array_equal(efm._sq_dists(xs, ys, 1.0), broadcast_sq_dists(xs, ys))
+            assert np.array_equal(efm._sq_dists(ys, xs, 1.0), broadcast_sq_dists(ys, xs))
+
+    def test_dimension_mismatch_raises(self):
+        # as the broadcast form did; the k-NN and KDE queries reach it
+        with pytest.raises(ValueError, match="dimension"):
+            efm._sq_dists(np.zeros((3, 4)), np.zeros((5, 2)), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_bridge_scale_into_a_given_buffer(self, d):
+        rng = np.random.default_rng(60 + d)
+        xs, ys = rng.standard_normal((40, d)), rng.standard_normal((300, d))
+        for scale in (0.3, rng.random((40, 1))):
+            buf = np.empty((40, 300))
+            assert efm._sq_dists(xs, ys, scale, buf) is buf
+            assert np.array_equal(buf, broadcast_sq_dists(xs, ys, scale))
+
+
 class TestBatchedQueries:
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("t", [0.3, 0.7, 0.98])
