@@ -488,14 +488,17 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
         raise ValueError("no trace files given")
     if len(set(labels)) != len(labels):
         raise ValueError(f"plot labels must be distinct, got {labels}")
+    loaded = [sampler.load_traces(path) for path in trace_files]
+    for path, trajs in zip(trace_files, loaded):
+        if not trajs:
+            raise ValueError(f"{path} holds no trajectories")
     os.makedirs(outdir, exist_ok=True)
     written = []
     cum_plot = svgplot.LinePlot(title="cumulative kinetic energy", x_label="t",
                                 y_label="energy")
     pow_plot = svgplot.LinePlot(title="instantaneous power", x_label="t",
                                 y_label="power", log_y=True)
-    for path, label in zip(trace_files, labels):
-        trajs = sampler.load_traces(path)
+    for trajs, label in zip(loaded, labels):
         ts = trajs[0]["t"]
         cum = np.stack([tr["cum_kpe"] for tr in trajs])
         power = np.stack([tr["power"] for tr in trajs])[:, 1:]
@@ -663,6 +666,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_verify_theory(args) -> int:
     dims = [int(d) for d in args.dims.split(",") if d]
+    if not dims or min(dims) < 1:
+        raise ValueError(f"--dims must list dimensions >= 1, got {args.dims!r}")
     rng = np.random.default_rng(args.seed)
     atoms_by_dim = {}
     for d in dims:

@@ -238,15 +238,19 @@ def loads_csv(text: str) -> LabeledDataset:
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header}")
-    xs, ys, strata = [], [], []
+    coords, strata = [], []
     for row in reader:
         if not row:
             continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"line {reader.line_num}: expected {len(CSV_HEADER)} fields "
-                             f"({','.join(CSV_HEADER)}), got {len(row)}")
-        xs.append(float(row[0]))
-        ys.append(float(row[1]))
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"expected {len(CSV_HEADER)} fields "
+                                 f"({','.join(CSV_HEADER)}), got {len(row)}")
+            coords.append([float(row[0]), float(row[1])])
+            if not np.isfinite(coords[-1]).all():
+                raise ValueError(f"coordinates must be finite, got {row[0]},{row[1]}")
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         strata.append(row[2])
-    points = np.stack([np.array(xs), np.array(ys)], axis=1) if xs else np.zeros((0, 2))
+    points = np.array(coords, dtype=np.float64).reshape(-1, 2)
     return LabeledDataset(points, tuple(strata), infer_kind(strata), -1)

@@ -189,10 +189,9 @@ def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
 
 
 def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
-                 tau_split: float = 0.6, dim: int = 2,
-                 meta: dict | None = None,
+                 tau_split: float = 0.6, meta: dict | None = None,
                  schedules: Sequence[KtsSchedule] | None = None) -> list[Trajectory]:
-    """Integrate ``m`` trajectories from i.i.d. standard-normal starts.
+    """Integrate ``m`` trajectories from i.i.d. 2-D standard-normal starts.
 
     Initial states come from per-trajectory child streams of ``cfg.seed``
     (stream i = SeedSequence(seed).spawn(m)[i]), so results do not depend on
@@ -209,7 +208,7 @@ def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
         raise ValueError("m must be >= 1")
     if schedules is not None and not len(schedules):
         raise ValueError("schedules must hold at least one KtsSchedule")
-    x0 = np.stack([np.random.default_rng(ss).standard_normal(dim)
+    x0 = np.stack([np.random.default_rng(ss).standard_normal(2)
                    for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
     trajs, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta, schedules)
     if failures:
@@ -261,7 +260,7 @@ def load_traces(path) -> list[dict]:
             for tid, arr in zip(ids, np.split(table, starts[1:]))]
 
 
-def batch_summary(trajectories: Sequence[Trajectory], extra: dict | None = None) -> dict:
+def batch_summary(trajectories: Sequence[Trajectory]) -> dict:
     """JSON-ready summary: per-trajectory energies and endpoints plus metadata."""
     per_traj = [{
         "id": i,
@@ -272,6 +271,4 @@ def batch_summary(trajectories: Sequence[Trajectory], extra: dict | None = None)
     } for i, traj in enumerate(trajectories)]
     meta = dict(trajectories[0].meta) if trajectories else {}
     meta["tau_split"] = trajectories[0].tau_split if trajectories else None
-    if extra:
-        meta.update(extra)
     return {"trajectories": per_traj, "solver": meta}

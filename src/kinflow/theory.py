@@ -36,6 +36,10 @@ from .efm import (EfmField, MixtureModel, T_CLAMP, _check_unit_interval,
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
 
+#: search times for the blow-up probe's t_bar, and its integration grid density
+SEARCH_NODES = 200
+NODES_PER_DECADE = 3000
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -141,8 +145,8 @@ class BoundCheckReport:
         return 1.0 if checked == 0 else 1.0 - self.n_failed / checked
 
 
-def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float, eps: float,
-                   rel_slack: float) -> list[BoundCheckEntry]:
+def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float,
+                   eps: float) -> list[BoundCheckEntry]:
     """Every pointwise check of the (B, d) queries at one time t, in order.
     Each step is row by row, so an entry does not depend on the batch."""
     lam, total, log_p, _ = _softmax_parts(m, zs, t)
@@ -158,18 +162,18 @@ def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float, eps: float,
     energy = (u * u).sum(axis=1)
     lower = c.lower_slope * nld - c.offset
     upper = c.upper_slope * nld + c.offset
-    passed = ((energy >= lower - rel_slack * np.maximum(np.maximum(1.0, np.abs(lower)), energy))
-              & (energy <= upper + rel_slack * np.maximum(np.maximum(1.0, np.abs(upper)), energy)))
+    passed = ((energy >= lower - REL_SLACK * np.maximum(np.maximum(1.0, np.abs(lower)), energy))
+              & (energy <= upper + REL_SLACK * np.maximum(np.maximum(1.0, np.abs(upper)), energy)))
     # -log p_t minus the dominant Gaussian's own term lies in [log(1 - eps), 0]
     gap = z - mus[i_star]
     quad = (gap ** 2).sum(axis=1) / (2.0 * sigma2)
     log_rem = nld - quad - c.log_norm_const
     lo = np.log1p(-eps)
-    tol = rel_slack * np.maximum(max(1.0, abs(lo), abs(c.log_norm_const)), quad)
+    tol = REL_SLACK * np.maximum(max(1.0, abs(lo), abs(c.log_norm_const)), quad)
     log_ok = (lo - tol <= log_rem) & (log_rem <= tol)
     # the gap to the dominant component's score is at most score_bound
     score_rem = np.sqrt(((score + gap / sigma2) ** 2).sum(axis=1))
-    tol = rel_slack * np.maximum(np.maximum(1.0, c.score_bound), np.abs(gap).max(axis=1) / sigma2)
+    tol = REL_SLACK * np.maximum(np.maximum(1.0, c.score_bound), np.abs(gap).max(axis=1) / sigma2)
     score_ok = score_rem <= c.score_bound + tol
 
     checked = dict(zip(dom.tolist(), zip(*(a.tolist() for a in (
@@ -180,13 +184,12 @@ def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float, eps: float,
             for j, lam_j in enumerate(lam_star.tolist())]
 
 
-def check_energy_density_bounds(m: MixtureModel, points, eps: float,
-                                rel_slack: float = REL_SLACK) -> BoundCheckReport:
+def check_energy_density_bounds(m: MixtureModel, points, eps: float) -> BoundCheckReport:
     """Verify the affine energy-density bounds and both remainders at each
     dominant (z, t), one batch per distinct t; entries keep the input order.
 
     Points that fail the dominance precondition are recorded as skipped, not
-    as failures.  A bound counts as violated only beyond ``rel_slack``
+    as failures.  A bound counts as violated only beyond ``REL_SLACK``
     relative to the bound's own scale.
     """
     entries: list[BoundCheckEntry | None] = [None] * len(points)
@@ -195,30 +198,28 @@ def check_energy_density_bounds(m: MixtureModel, points, eps: float,
         by_time.setdefault(t, []).append(j)
     for t, idx in by_time.items():
         zs = np.array([points[j][0] for j in idx], dtype=np.float64)
-        for j, entry in zip(idx, _check_at_time(m, zs, t, eps, rel_slack)):
+        for j, entry in zip(idx, _check_at_time(m, zs, t, eps)):
             entries[j] = entry
     return BoundCheckReport(entries)
 
 
-def check_local_gaussian_remainder(m: MixtureModel, z, t: float, eps: float,
-                                   rel_slack: float = REL_SLACK):
+def check_local_gaussian_remainder(m: MixtureModel, z, t: float, eps: float):
     """Remainder of the single-Gaussian approximation of -log p_t.
 
     Returns (remainder, within_bounds); the remainder must lie in
     [log(1 - eps), 0].  None without dominance at (z, t, eps).
     """
-    e = check_energy_density_bounds(m, [(z, t)], eps, rel_slack).entries[0]
+    e = check_energy_density_bounds(m, [(z, t)], eps).entries[0]
     return None if e.skipped else (e.log_remainder, e.log_remainder_ok)
 
 
-def check_score_remainder(m: MixtureModel, z, t: float, eps: float,
-                          rel_slack: float = REL_SLACK):
+def check_score_remainder(m: MixtureModel, z, t: float, eps: float):
     """Gap between the mixture score and the dominant component's score.
 
     Returns (||remainder||, within_bound); the norm must not exceed
     (eps / sigma^2) * max_j ||mu_j - mu_i*||.  None without dominance.
     """
-    e = check_energy_density_bounds(m, [(z, t)], eps, rel_slack).entries[0]
+    e = check_energy_density_bounds(m, [(z, t)], eps).entries[0]
     return None if e.skipped else (e.score_remainder, e.score_remainder_ok)
 
 
@@ -245,19 +246,17 @@ class ConcentrationReport:
         return sum(1 for e in self.entries if not e.margin_ok)
 
 
-def check_concentration(m: MixtureModel, x_of_t, ts, margin: float) -> ConcentrationReport:
+def check_concentration(m: MixtureModel, x, ts, margin: float) -> ConcentrationReport:
     """Check 1 - lambda_i* <= (N - 1) exp(-margin / (2 (1 - t)^2)) on a grid.
 
-    ``x_of_t`` is either a fixed point or a callable t -> point.  The dominant
-    index is fixed from the first grid point; grid points where the pairwise
-    score margin drops below ``margin`` are marked invalid and excluded from
-    the bound check.
+    ``x`` is a frozen point.  The dominant index is fixed from the first grid
+    point; grid points where the pairwise score margin drops below ``margin``
+    are marked invalid and excluded from the bound check.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if len(ts) == 0:
         raise ValueError("time grid must be non-empty")
-    xs = np.array([x_of_t(t) for t in ts] if callable(x_of_t) else [x_of_t] * len(ts),
-                  dtype=np.float64)
+    xs = np.array([x] * len(ts), dtype=np.float64)
     scores = _sq_dists(xs, m.atoms, ts[:, None])
     lam = posterior_weights(m, xs, ts)
     i_star = int(np.argmin(scores[0]))
@@ -300,16 +299,15 @@ class BlowupProbeReport:
         return all(e.passed for e in self.entries)
 
 
-def blowup_probe(f: EfmField, x, c: float, deltas,
-                 search_grid: np.ndarray | None = None,
-                 nodes_per_decade: int = 3000) -> BlowupProbeReport:
+def blowup_probe(f: EfmField, x, c: float, deltas) -> BlowupProbeReport:
     """Partial terminal energies of a frozen point against the blow-up bound.
 
     Computes I(delta) = integral of ||f(x, t)||^2 over [t_bar, 1 - delta] by
-    composite trapezoid on a geometric grid in (1 - t), and asserts
-    I(delta) >= (c^2 / 4)(1/delta - 1/(1 - t_bar)).  ``t_bar`` is the first
-    search-grid time at which 2 R (1 - lambda_max) <= c / 2 with
-    R = max_i ||x_i||.  Raises when a hypothesis cannot be verified.
+    composite trapezoid, and asserts I(delta) >= (c^2 / 4)(1/delta - 1/(1 - t_bar)).
+    Every delta is read off one grid, geometric in (1 - t) from the smallest
+    delta to 1 - t_bar with each delta a node.  ``t_bar`` is the first search
+    time at which 2 R (1 - lambda_max) <= c / 2 with R = max_i ||x_i||.
+    Raises when a hypothesis cannot be verified.
     """
     x = np.asarray(x, dtype=np.float64)
     if c <= 0:
@@ -322,37 +320,31 @@ def blowup_probe(f: EfmField, x, c: float, deltas,
         raise ValueError("all deltas must be > 0")
 
     radius = float(np.sqrt((f.atoms ** 2).sum(axis=1)).max())
-    mix = f.mixture()
-    if search_grid is None:
-        search_grid = 1.0 - np.geomspace(0.5, max(deltas[0], 1e-6), 200)
-    t_bar = None
-    for t in search_grid:
-        lam_max = posterior_weights(mix, x, float(t)).max()
-        if 2.0 * radius * (1.0 - lam_max) <= c / 2.0:
-            t_bar = float(t)
-            break
-    if t_bar is None:
+    search = 1.0 - np.geomspace(0.5, max(deltas[0], 1e-6), SEARCH_NODES)
+    lam = posterior_weights(f.mixture(), np.broadcast_to(x, (len(search), len(x))), search)
+    hit = np.flatnonzero(2.0 * radius * (1.0 - lam.max(axis=1)) <= c / 2.0)
+    if not len(hit):
         raise ValueError("posterior concentration hypothesis failed: "
                          "no search time reaches 2R(1 - lambda) <= c/2")
+    t_bar = float(search[hit[0]])
+    u_hi = 1.0 - t_bar
+    if deltas[-1] >= u_hi:
+        raise ValueError(f"delta {deltas[-1]} leaves no interval past t_bar={t_bar}")
 
-    report = BlowupProbeReport(c=c, atom_radius=radius, t_bar=t_bar)
-    for delta in deltas:
-        u_hi = 1.0 - t_bar
-        if delta >= u_hi:
-            raise ValueError(f"delta {delta} leaves no interval past t_bar={t_bar}")
-        decades = np.log10(u_hi / delta)
-        nodes = max(64, int(np.ceil(decades * nodes_per_decade)) + 1)
-        u = np.geomspace(delta, u_hi, nodes)
-        speed2 = _efm_speed2_over_times(f, x, 1.0 - u)
-        integral = float(np.trapezoid(speed2, u))
-        bound = (c ** 2 / 4.0) * (1.0 / delta - 1.0 / u_hi)
-        passed = integral >= bound * (1.0 - REL_SLACK)
-        report.entries.append(BlowupEntry(delta, integral, float(bound), passed))
-    return report
+    nodes = max(64, int(np.ceil(np.log10(u_hi / deltas[0]) * NODES_PER_DECADE)) + 1)
+    u = np.union1d(np.geomspace(deltas[0], u_hi, nodes), deltas)
+    speed2 = _efm_speed2_over_times(f, x, 1.0 - u)
+    # tail[k]: trapezoid integral over [u[k], u_hi]
+    panels = 0.5 * (speed2[1:] + speed2[:-1]) * np.diff(u)
+    tail = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    integrals = tail[np.searchsorted(u, deltas)]
+    bounds = (c ** 2 / 4.0) * (1.0 / np.array(deltas) - 1.0 / u_hi)
+    return BlowupProbeReport(c=c, atom_radius=radius, t_bar=t_bar, entries=[
+        BlowupEntry(d, i, b, i >= b * (1.0 - REL_SLACK))
+        for d, i, b in zip(deltas, integrals.tolist(), bounds.tolist())])
 
 
-def universal_lower_bound_check(times, states, atom, t_start: float,
-                                atol: float = 1e-12):
+def universal_lower_bound_check(times, states, atom, t_start: float):
     """Tail-energy lower bound for a path that terminates on an atom.
 
     lhs: trapezoid tail energy from finite-difference velocities past
@@ -365,7 +357,7 @@ def universal_lower_bound_check(times, states, atom, t_start: float,
     atom = np.asarray(atom, dtype=np.float64)
     if len(times) < 2 or len(times) != len(states):
         raise ValueError("path must have at least two (time, state) samples")
-    if np.linalg.norm(states[-1] - atom) > atol:
+    if np.linalg.norm(states[-1] - atom) > 1e-12:
         raise ValueError("path does not terminate at the given atom")
     j0 = int(np.argmin(np.abs(times - t_start)))
     if j0 == len(times) - 1:

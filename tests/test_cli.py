@@ -126,7 +126,9 @@ class TestSampleCommand:
         assert blocks["2"]["k"] == 2.0 and blocks["3"]["k"] == 3.0
         assert blocks["2"] != blocks["3"]
 
-    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,dense_core,extra"])
+    # the last three rows have the right field count but a bad coordinate
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,dense_core,extra", "abc,1,dense_core",
+                                     "nan,1,dense_core", "1,inf,dense_core"])
     def test_csv_row_with_wrong_field_count_exits_2(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"x,y,stratum\n0.5,0.5,dense_core\n{row}\n")
@@ -164,6 +166,16 @@ class TestVerifyTheoryCommand:
         assert all(b["pass_rate"] == 1.0 for b in report["bounds"])
         assert code == EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
         assert report["all_passed"]
+
+    @pytest.mark.parametrize("dims", [["--dims", ""], ["--dims", "0"],
+                                      ["--dims", "1,0"], ["--dims=-1"]],
+                             ids=["empty", "zero", "one_zero", "minus_one"])
+    def test_dims_below_one_exit_2(self, tmp_path, capsys, dims):
+        out = tmp_path / "theory.json"
+        code = main(["verify-theory", *dims, "--atoms", "5", "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert "--dims" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_atoms_are_the_verify_stage_subsample(self, tmp_path):
         # the first 50 points of dense_sparse n=500 seed 7 are all dense-core
@@ -282,6 +294,18 @@ class TestPlotCommand:
     def test_empty_traces_invalid(self, tmp_path):
         code = main(["plot", "--traces", "", "--out", str(tmp_path / "p")])
         assert code == EXIT_INVALID_CONFIG
+
+    def test_header_only_trace_file_exits_2(self, tiny_artifacts, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(sampler.TRACE_HEADER) + "\r\n")
+        out = tmp_path / "plots"
+        # the good file comes first: its stratum box must not be written either
+        code = main(["plot", "--traces",
+                     f"{tiny_artifacts['traces'] / 'traces.csv'},{empty}",
+                     "--data", str(tiny_artifacts["data"]), "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert str(empty) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_labels_exit_2(self, tiny_artifacts, tmp_path):
         # both files default to the label "traces"; their stratum boxes

@@ -164,6 +164,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3: expected 3 fields"):
             loads_csv(f"x,y,stratum\n0.5,0.5,dense_core\n{row}\n")
 
+    @pytest.mark.parametrize("row, match", [
+        ("abc,1,dense_core", "line 3: could not convert string to float: 'abc'"),
+        ("nan,1,dense_core", "line 3: coordinates must be finite"),
+        ("1,-inf,dense_core", "line 3: coordinates must be finite"),
+    ])
+    def test_bad_coordinate_names_its_line(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            loads_csv(f"x,y,stratum\n0.5,0.5,dense_core\n{row}\n")
+
     def test_infer_kind(self):
         assert infer_kind(["dense_core", "sparse_ring"]) == "dense_sparse"
         assert infer_kind(["dense_band"]) == "sandwich"

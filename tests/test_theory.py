@@ -291,6 +291,63 @@ class TestBlowupProbe:
         with pytest.raises(ValueError, match="non-collision"):
             blowup_probe(f, np.array([0.05, 0.0]), c=0.5, deltas=[1e-3])
 
+    @pytest.mark.parametrize("deltas, match", [
+        ([1e-3, 0.0], "must be > 0"),
+        ([-1e-3], "must be > 0"),
+        ([1e-3, 0.9], "delta 0.9 leaves no interval"),
+        ([0.9, 1e-3, 0.6], "delta 0.9 leaves no interval"),
+    ])
+    def test_delta_range_checked(self, deltas, match):
+        f = EfmField(np.array([[0.0, 0.0]]))
+        with pytest.raises(ValueError, match=match):
+            blowup_probe(f, np.array([1.0, 0.0]), c=1.0, deltas=deltas)
+
+    @staticmethod
+    def probe_loop(f, x, c, deltas):
+        """Reference: a search of one-point posterior calls, then each delta
+        integrated on its own geometric grid from delta to 1 - t_bar."""
+        deltas = sorted(deltas)
+        radius = np.sqrt((f.atoms ** 2).sum(axis=1)).max()
+        search = 1.0 - np.geomspace(0.5, max(deltas[0], 1e-6), theory.SEARCH_NODES)
+        t_bar = next(float(t) for t in search if 2.0 * radius * (
+            1.0 - efm.posterior_weights(f.mixture(), x, float(t)).max()) <= c / 2.0)
+        u_hi = 1.0 - t_bar
+        entries = []
+        for delta in deltas:
+            nodes = max(64, int(np.ceil(np.log10(u_hi / delta) * theory.NODES_PER_DECADE)) + 1)
+            u = np.geomspace(delta, u_hi, nodes)
+            integral = float(np.trapezoid(theory._efm_speed2_over_times(f, x, 1.0 - u), u))
+            bound = (c ** 2 / 4.0) * (1.0 / delta - 1.0 / u_hi)
+            entries.append((delta, integral, integral >= bound * (1.0 - REL_SLACK)))
+        return t_bar, entries
+
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_one_grid_matches_per_delta_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        for dim in (1, 2, 5):
+            atoms = 3.0 * rng.standard_normal((50, dim))
+            x, c = cli._isolated_probe(atoms)
+            f = EfmField(atoms)
+            for deltas in ([5e-3, 2e-3, 1e-3], [1e-2, 2.5e-3, 5e-3],
+                           [1e-3, 1e-2, 1e-4, 1e-3]):
+                report = blowup_probe(f, x, c, deltas)
+                t_bar, entries = self.probe_loop(f, x, c, deltas)
+                assert report.t_bar == t_bar
+                assert [e.delta for e in report.entries] == [d for d, _, _ in entries]
+                assert [e.passed for e in report.entries] == [p for _, _, p in entries]
+                for e, (_, integral, _) in zip(report.entries, entries):
+                    assert e.integral == pytest.approx(integral, rel=1e-9, abs=0)
+
+    def test_one_kernel_call_per_probe(self, monkeypatch):
+        calls = []
+        real = theory._efm_rows
+        monkeypatch.setattr(theory, "_efm_rows",
+                            lambda *a: calls.append(len(a[1])) or real(*a))
+        atoms = 3.0 * np.random.default_rng(4).standard_normal((50, 2))
+        x, c = cli._isolated_probe(atoms)
+        blowup_probe(EfmField(atoms), x, c, deltas=[5e-3, 2e-3, 1e-3])
+        assert len(calls) == 1
+
 
 class TestUniversalLowerBound:
     @staticmethod
@@ -457,9 +514,10 @@ class TestBatchedSuite:
 
     def test_one_posterior_pass_per_time_group(self, monkeypatch):
         # sampling at each t, the checks of each (dim, eps, t) group holding a
-        # dominant point, the concentration grid, each blow-up search time tried
-        # and the integrated trajectory make one log-weight call apiece per dim;
-        # per-point passes would add about five calls per checked point
+        # dominant point, the concentration grid, the blow-up search over all
+        # its times and the integrated trajectory make one log-weight call
+        # apiece per dim; per-point passes would add about five calls per
+        # checked point
         atoms, rng = report_atoms(5), np.random.default_rng(5)
         groups = sum(len({t for _, t in sample_dominant_points(
             mix(a), np.linspace(0.1, 0.9, 9), 0.1, 40, rng)[0]}) for a in atoms.values())
@@ -468,8 +526,7 @@ class TestBatchedSuite:
         monkeypatch.setattr(efm, "_log_weights",
                             lambda m, zs, t: calls.append(len(zs)) or real(m, zs, t))
         report = cli._theory_report(atoms, [0.1], 5)
-        grid = list(1.0 - np.geomspace(0.5, 1e-3, 200))
-        searched = sum(grid.index(b["t_bar"]) + 1 for b in report["blowup"])
+        searched = len(report["blowup"])
         assert len(calls) == 3 * (9 + 1 + 1) + groups + searched
         checked = sum(b["n_checked"] for b in report["bounds"])
         assert checked > 2 * groups and report["all_passed"]
