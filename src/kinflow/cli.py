@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import datasets, diagnostics, net, sampler, svgplot, theory
-from .efm import EfmField, MixtureModel, _sq_dists, linear_schedule
+from .efm import EfmField
 
 VERSION = "0.1.0"
 
@@ -83,6 +83,9 @@ class DiagConfig:
     def __post_init__(self):
         if self.knn_k < 1 or self.k_mem < 2:
             raise ValueError(f"need knn_k >= 1 and k_mem >= 2, got {self.knn_k}, {self.k_mem}")
+        if not (0.0 < self.eps < 0.5) or not self.kde_bandwidth > 0.0:
+            raise ValueError(f"need eps in (0, 0.5) and kde_bandwidth > 0, "
+                             f"got {self.eps}, {self.kde_bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -242,29 +245,6 @@ def stage_diagnose(cfg: ExperimentConfig, outdir: str) -> dict:
     return {"report": path}
 
 
-def _isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
-    """A frozen probe point near the most isolated atom, plus its gap bound.
-
-    The point sits a third of the isolation radius away from that atom, so
-    the terminal posterior concentrates on it early and the non-collision
-    bound c is comfortably positive.
-    """
-    atoms = np.asarray(atoms, dtype=np.float64)
-    if len(atoms) == 1:
-        x = atoms[0].copy()
-        x[0] += 1.0
-        return x, 0.9
-    d2 = _sq_dists(atoms, atoms, 1.0)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.sqrt(d2.min(axis=1))
-    j = int(np.argmax(nearest))
-    direction = np.zeros(atoms.shape[1])
-    direction[0] = 1.0
-    offset = nearest[j] / 3.0
-    x = atoms[j] + offset * direction
-    return x, 0.9 * float(np.sqrt(_sq_dists(x[None, :], atoms, 1.0).min()))
-
-
 def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -> dict:
     """Run the bound, remainder, concentration, blow-up, and tail-bound suites."""
     rng = np.random.default_rng(seed)
@@ -273,13 +253,12 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
               "blowup": [], "tail_bound": [], "linear_slopes_exact": True}
 
     for t in ts:
-        mix2 = MixtureModel(np.zeros((1, 2)), linear_schedule())
-        consts = theory.bound_constants(mix2, float(t), 0, 0.1)
+        consts = theory.bound_constants(EfmField(np.zeros((1, 2))), float(t), 0, 0.1)
         if abs(consts.lower_slope - 0.5) > 1e-14 or abs(consts.upper_slope - 12.0) > 1e-14:
             report["linear_slopes_exact"] = False
 
     for dim, atoms in atoms_by_dim.items():
-        mix = MixtureModel(atoms, linear_schedule())
+        mix = EfmField(atoms)
         for eps in eps_values:
             points, rejected = theory.sample_dominant_points(mix, ts, eps, 40, rng)
             bounds = theory.check_energy_density_bounds(mix, points, eps)
@@ -292,10 +271,9 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
                 "dim": dim, "eps": eps, "n_checked": len(points),
                 "n_failed": bounds.n_remainder_failed})
 
-        field_fn = EfmField(atoms)
-        probe_x, c = _isolated_probe(atoms)
+        probe_x, c = theory.isolated_probe(atoms)
         try:
-            probe = theory.blowup_probe(field_fn, probe_x, c,
+            probe = theory.blowup_probe(mix, probe_x, c,
                                         deltas=[5e-3, 2e-3, 1e-3])
             report["blowup"].append({
                 "dim": dim, "c": c, "t_bar": probe.t_bar,
@@ -318,7 +296,7 @@ def _theory_report(atoms_by_dim: dict[int, np.ndarray], eps_values, seed: int) -
 
         scfg = sampler.SolverConfig(method="midpoint", steps=100,
                                     delta_cut=1e-3, seed=seed)
-        traj = sampler.integrate(field_fn, 0.1 * np.ones(atoms.shape[1]), scfg)
+        traj = sampler.integrate(mix, 0.1 * np.ones(atoms.shape[1]), scfg)
         kpe, integral, ratio = theory.integrated_energy_density(traj, mix)
         report.setdefault("integrated_energy_density", []).append({
             "dim": dim, "kpe": kpe, "neg_log_density_integral": integral,
@@ -664,10 +642,21 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _split_values(option: str, text: str, kind: type) -> list:
+    """The comma-separated ``kind`` values of ``option``; a ValueError naming
+    the option for any other entry."""
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"{option} must list {kind.__name__} values, got {text!r}") from None
+
+
 def _cmd_verify_theory(args) -> int:
-    dims = [int(d) for d in args.dims.split(",") if d]
+    dims = _split_values("--dims", args.dims, int)
     if not dims or min(dims) < 1:
         raise ValueError(f"--dims must list dimensions >= 1, got {args.dims!r}")
+    if args.atoms < 1:
+        raise ValueError(f"--atoms must be >= 1, got {args.atoms}")
     rng = np.random.default_rng(args.seed)
     atoms_by_dim = {}
     for d in dims:
@@ -683,10 +672,10 @@ def _cmd_verify_theory(args) -> int:
 
 
 def _cmd_kts_sweep(args) -> int:
+    alpha_grid = _split_values("--alpha0-grid", args.alpha0_grid, float)
+    beta_grid = _split_values("--beta0-grid", args.beta0_grid, float)
     params = net.load_checkpoint(args.model)
     data = datasets.load_csv(args.data)
-    alpha_grid = [float(v) for v in args.alpha0_grid.split(",") if v]
-    beta_grid = [float(v) for v in args.beta0_grid.split(",") if v]
     heldout = datasets.load_csv(args.heldout).points
     cfg = ExperimentConfig(
         solver=SolverStageConfig(method=args.solver, steps=args.steps,

@@ -1,10 +1,11 @@
 """Density estimates, rank statistics, memorization fraction, and exact W2.
 
-The rank statistics are implemented directly so that small-sample behavior is
-exact: the Mann-Whitney test enumerates all rank assignments when the combined
-sample has at most 20 observations and switches to the tie-corrected normal
-approximation above that.  Densities are reported through a k-NN estimate
-(k / (n * ball_volume(r_k))) and the Gaussian KDE from :mod:`kinflow.datasets`.
+Spearman's rho correlates scipy's average ranks.  The Mann-Whitney test is
+implemented directly so that small-sample behavior is exact: it enumerates
+all rank assignments when the combined sample has at most 20 observations
+and switches to the tie-corrected normal approximation above that.
+Densities are reported through a k-NN estimate (k / (n * ball_volume(r_k)))
+and the Gaussian KDE from :mod:`kinflow.datasets`.
 """
 
 from __future__ import annotations
@@ -46,21 +47,6 @@ def knn_density(train, q, k: int) -> float | np.ndarray:
     return float(density[0]) if q.ndim == 1 else density
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mid-rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman(xs, ys) -> float:
     """Rank correlation: Pearson correlation of mid-ranks."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -69,8 +55,9 @@ def spearman(xs, ys) -> float:
         raise ValueError("inputs must have equal length >= 3")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise UndefinedStatistic("correlation is undefined for a constant input")
-    rx = _midranks(xs)
-    ry = _midranks(ys)
+    from scipy.stats import rankdata     # here, not at the top: it takes ~0.5 s to import
+    rx = rankdata(xs, method="average")
+    ry = rankdata(ys, method="average")
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
@@ -123,7 +110,6 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
         return u_obs, p
 
     n = n_a + n_b
-    ranks = _midranks(np.concatenate([a, b]))
     _, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     tie_term = float((counts ** 3 - counts).sum())
     mu = n_a * n_b / 2.0

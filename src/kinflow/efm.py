@@ -4,23 +4,26 @@ At time t the training atoms x_i induce the mixture
 
     p_t(z) = (1/N) sum_i Normal(z; gamma(t) x_i, (1 - gamma(t))^2 I_d)
 
-with softmax posterior responsibilities lambda_i(z, t).  Two equivalent velocity
-representations are provided:
+with softmax posterior responsibilities lambda_i(z, t).  ``EfmField`` is the
+``MixtureModel`` of the linear schedule gamma(t) = t, callable as its velocity
+field; its ``neighbors`` truncates the velocity only.  Two equivalent
+velocity representations are provided:
 
-* the softmax-averaged bridge form (linear schedule):
+* the softmax-averaged bridge form (``EfmField``):
       u(x, t) = sum_i lambda_i(x, t) (x_i - x) / (1 - t)
-* the score form for a general schedule gamma:
+* the score form for a general schedule gamma (``general_velocity``):
       u(z, t) = alpha(t) grad log p_t(z) + beta(t) z,
       alpha = gdot sigma^2 / (gamma (1 - gamma)),  beta = gdot / gamma.
 
-All operations are pure functions of immutable inputs.  Times are clamped to
-[1e-9, 1 - 1e-9] inside density and score evaluation only; the 1/(1 - t)
-velocity factor is never clamped, callers receive the true magnitude.
+All operations are pure functions of immutable inputs.  A schedule's gamma
+takes one time or an array of times.  Times are clamped to [1e-9, 1 - 1e-9]
+for gamma and sigma^2 only (``_time_terms``); the 1/(1 - t) velocity factor
+is never clamped, callers receive the true magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,11 +38,11 @@ BLOCK_ELEMS = 1 << 16
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Interpolation schedule gamma: [0,1] -> [0,1] with its derivative."""
+    """Interpolation schedule gamma: [0,1] -> [0,1] with its derivative.
+    ``gamma`` maps one time or an array of times elementwise."""
 
-    gamma: Callable[[float], float]
+    gamma: Callable
     gamma_dot: Callable[[float], float]
-    kind: str = "custom"
 
     def __post_init__(self):
         if abs(self.gamma(0.0)) > 1e-12 or abs(self.gamma(1.0) - 1.0) > 1e-12:
@@ -47,7 +50,7 @@ class GammaSchedule:
 
 
 def linear_schedule() -> GammaSchedule:
-    return GammaSchedule(gamma=lambda t: t, gamma_dot=lambda t: 1.0, kind="linear")
+    return GammaSchedule(gamma=lambda t: t, gamma_dot=lambda t: 1.0)
 
 
 def _check_unit_interval(t):
@@ -90,13 +93,12 @@ class MixtureModel:
 
 
 def _time_terms(m: MixtureModel, t):
-    """gamma and sigma^2 at the clamped time: floats for one time, (B, 1)
-    columns for per-row times, each row computed exactly as for one time."""
-    if np.ndim(t) == 0:
-        g = m.schedule.gamma(min(max(t, T_CLAMP), 1.0 - T_CLAMP))
-        return g, (1.0 - g) ** 2
-    terms = np.array([_time_terms(m, s) for s in t.tolist()]).reshape(-1, 2)
-    return terms[:, :1], terms[:, 1:]
+    """gamma and sigma^2 at the clamped time: scalars for one time, (B, 1)
+    columns for per-row times.  ``float_power`` is C ``pow``, as a float's
+    ``** 2`` is; an array's ``** 2`` multiplies, which can round differently."""
+    tc = np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
+    g = m.schedule.gamma(np.reshape(tc, (-1, 1)) if np.ndim(tc) else tc)
+    return g, np.float_power(1.0 - g, 2)
 
 
 def _row_step(n_rows: int, n_cols: int) -> int:
@@ -240,30 +242,22 @@ def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None | list[int
 
 
 @dataclass(frozen=True)
-class EfmField:
-    """Closed-form velocity field over training atoms with the linear schedule.
+class EfmField(MixtureModel):
+    """The mixture of the linear schedule, called as its closed-form velocity.
 
-    ``neighbors`` truncates the softmax to the K atoms nearest to the query in
-    bridge distance ||x - t x_i|| (weights renormalized over the kept set);
-    ``None`` keeps all atoms.  The neighbor set is recomputed at every
-    velocity evaluation.
+    ``neighbors`` truncates the velocity's softmax to the K atoms nearest to
+    the query in bridge distance ||x - t x_i|| (weights renormalized over the
+    kept set); ``None`` keeps all atoms.  The neighbor set is recomputed at
+    every velocity evaluation.  Posteriors and densities use every atom.
     """
 
-    atoms: np.ndarray
+    schedule: GammaSchedule = field(default_factory=linear_schedule, init=False)
     neighbors: int | None = None
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=np.float64)
-        if atoms.ndim != 2 or len(atoms) < 1:
-            raise ValueError("atoms must be a non-empty (N, d) array")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
-        if self.neighbors is not None and not (1 <= self.neighbors <= len(atoms)):
-            raise ValueError(f"neighbors must lie in [1, {len(atoms)}]")
-        object.__setattr__(self, "atoms", atoms)
-
-    def mixture(self) -> MixtureModel:
-        return MixtureModel(self.atoms, linear_schedule())
+        super().__post_init__()
+        if self.neighbors is not None and not (1 <= self.neighbors <= self.n_atoms):
+            raise ValueError(f"neighbors must lie in [1, {self.n_atoms}]")
 
     def __call__(self, x, t: float) -> np.ndarray:
         # t = 0 is allowed (uniform weights, unit bridge factor); t >= 1 is the
@@ -272,12 +266,13 @@ class EfmField:
         if not (0.0 <= t < 1.0):
             raise ValueError(f"t must lie in [0, 1), got {t}")
         x = np.asarray(x, dtype=np.float64)
-        out = _efm_rows(self.atoms, x.reshape(-1, x.shape[-1]), t, self.neighbors)
+        out = _efm_rows(self, x.reshape(-1, x.shape[-1]), t)
         return out[0] if x.ndim == 1 else out
 
 
-def _efm_rows(atoms: np.ndarray, xs: np.ndarray, t, neighbors: int | None) -> np.ndarray:
-    """Velocities of the (B, d) queries ``xs`` at one time ``t`` or one per row.
+def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
+    """Velocities of ``f`` at the (B, d) queries ``xs``, at one time ``t`` or
+    one per row.
 
     The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
     elements, each built in place, so that no (rows, N) array outgrows the
@@ -286,25 +281,25 @@ def _efm_rows(atoms: np.ndarray, xs: np.ndarray, t, neighbors: int | None) -> np
     product, since BLAS results can depend on the number of rows.
     """
     t = np.asarray(t, dtype=np.float64)
-    n_rows, n_atoms = len(xs), len(atoms)
-    truncate = neighbors is not None and neighbors < n_atoms
-    step = _row_step(n_rows, n_atoms)
-    d2_buf = np.empty((min(step, n_rows), n_atoms))
+    n_rows, k = len(xs), f.neighbors
+    truncate = k is not None and k < f.n_atoms
+    step = _row_step(n_rows, f.n_atoms)
+    d2_buf = np.empty((min(step, n_rows), f.n_atoms))
     out = np.empty(xs.shape)
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
-        tc = np.clip(tb, T_CLAMP, 1.0 - T_CLAMP)
-        logw = d2 = _sq_dists(x, atoms, tc, d2_buf[:len(x)])
+        g, sigma2 = _time_terms(f, tb)
+        logw = d2 = _sq_dists(x, f.atoms, g, d2_buf[:len(x)])
         if truncate:
-            kept = np.argpartition(d2, neighbors - 1, axis=1)[:, :neighbors]
+            kept = np.argpartition(d2, k - 1, axis=1)[:, :k]
             logw = np.take_along_axis(d2, kept, axis=1)
         np.negative(logw, out=logw)
-        logw /= 2.0 * (1.0 - tc) ** 2
+        logw /= 2.0 * sigma2
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw, out=logw)
         w /= w.sum(axis=1, keepdims=True)
-        targets = np.einsum("bk,bkd->bd", w, atoms[kept]) if truncate else w @ atoms
+        targets = np.einsum("bk,bkd->bd", w, f.atoms[kept]) if truncate else w @ f.atoms
         targets -= x
         np.divide(targets, 1.0 - tb, out=out[lo:lo + step])
     return out

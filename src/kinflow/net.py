@@ -78,9 +78,6 @@ class MlpParams:
         return MlpParams([np.zeros_like(w) for w in self.weights],
                          [np.zeros_like(b) for b in self.biases])
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
 
 def init_params(seed: int | np.random.SeedSequence) -> MlpParams:
     """Per-layer uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""

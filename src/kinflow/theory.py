@@ -272,13 +272,6 @@ def check_concentration(m: MixtureModel, x, ts, margin: float) -> ConcentrationR
     return report
 
 
-def _efm_speed2_over_times(f: EfmField, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """||f(x, t)||^2 for a frozen x over many times, one kernel row per time."""
-    ts = np.asarray(ts, dtype=np.float64)
-    xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (len(ts), len(x)))
-    return (_efm_rows(f.atoms, xs, ts, f.neighbors) ** 2).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class BlowupEntry:
     delta: float
@@ -321,7 +314,7 @@ def blowup_probe(f: EfmField, x, c: float, deltas) -> BlowupProbeReport:
 
     radius = float(np.sqrt((f.atoms ** 2).sum(axis=1)).max())
     search = 1.0 - np.geomspace(0.5, max(deltas[0], 1e-6), SEARCH_NODES)
-    lam = posterior_weights(f.mixture(), np.broadcast_to(x, (len(search), len(x))), search)
+    lam = posterior_weights(f, np.broadcast_to(x, (len(search), len(x))), search)
     hit = np.flatnonzero(2.0 * radius * (1.0 - lam.max(axis=1)) <= c / 2.0)
     if not len(hit):
         raise ValueError("posterior concentration hypothesis failed: "
@@ -333,7 +326,7 @@ def blowup_probe(f: EfmField, x, c: float, deltas) -> BlowupProbeReport:
 
     nodes = max(64, int(np.ceil(np.log10(u_hi / deltas[0]) * NODES_PER_DECADE)) + 1)
     u = np.union1d(np.geomspace(deltas[0], u_hi, nodes), deltas)
-    speed2 = _efm_speed2_over_times(f, x, 1.0 - u)
+    speed2 = (_efm_rows(f, np.broadcast_to(x, (len(u), len(x))), 1.0 - u) ** 2).sum(axis=1)
     # tail[k]: trapezoid integral over [u[k], u_hi]
     panels = 0.5 * (speed2[1:] + speed2[:-1]) * np.diff(u)
     tail = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
@@ -342,6 +335,27 @@ def blowup_probe(f: EfmField, x, c: float, deltas) -> BlowupProbeReport:
     return BlowupProbeReport(c=c, atom_radius=radius, t_bar=t_bar, entries=[
         BlowupEntry(d, i, b, i >= b * (1.0 - REL_SLACK))
         for d, i, b in zip(deltas, integrals.tolist(), bounds.tolist())])
+
+
+def isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
+    """A frozen probe point near the most isolated atom, plus its gap bound.
+
+    The point sits a third of the isolation radius away from that atom, so
+    the terminal posterior concentrates on it early and the non-collision
+    bound c is comfortably positive.
+    """
+    atoms = np.asarray(atoms, dtype=np.float64)
+    if len(atoms) == 1:
+        x = atoms[0].copy()
+        x[0] += 1.0
+        return x, 0.9
+    d2 = _sq_dists(atoms, atoms, 1.0)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.sqrt(d2.min(axis=1))
+    j = int(np.argmax(nearest))
+    x = atoms[j].copy()
+    x[0] += nearest[j] / 3.0
+    return x, 0.9 * float(np.sqrt(_sq_dists(x[None, :], atoms, 1.0).min()))
 
 
 def universal_lower_bound_check(times, states, atom, t_start: float):

@@ -167,14 +167,20 @@ class TestVerifyTheoryCommand:
         assert code == EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILURE
         assert report["all_passed"]
 
-    @pytest.mark.parametrize("dims", [["--dims", ""], ["--dims", "0"],
-                                      ["--dims", "1,0"], ["--dims=-1"]],
-                             ids=["empty", "zero", "one_zero", "minus_one"])
-    def test_dims_below_one_exit_2(self, tmp_path, capsys, dims):
+    @pytest.mark.parametrize("argv, option", [
+        (["--dims", ""], "--dims"), (["--dims", "0"], "--dims"),
+        (["--dims", "1,0"], "--dims"), (["--dims=-1"], "--dims"),
+        (["--dims", "abc"], "--dims"), (["--dims", "1,2.5"], "--dims"),
+        (["--atoms", "0"], "--atoms"), (["--atoms=-1"], "--atoms"),
+    ], ids=["empty", "zero", "one_zero", "minus_one", "not_a_number", "not_an_int",
+            "atoms_zero", "atoms_minus_one"])
+    def test_dims_below_one_exit_2(self, tmp_path, capsys, argv, option):
+        # checked before the --data file is read: a missing one is not reported
         out = tmp_path / "theory.json"
-        code = main(["verify-theory", *dims, "--atoms", "5", "--out", str(out)])
+        code = main(["verify-theory", "--data", str(tmp_path / "missing.csv"),
+                     "--atoms", "5", *argv, "--out", str(out)])
         assert code == EXIT_INVALID_CONFIG
-        assert "--dims" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
         assert not out.exists()
 
     def test_data_atoms_are_the_verify_stage_subsample(self, tmp_path):
@@ -252,6 +258,18 @@ class TestKtsSweepCommand:
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 1 + 4  # header + baseline + 2x2 grid
+
+    @pytest.mark.parametrize("option, grid", [("--alpha0-grid", "0,abc"),
+                                              ("--beta0-grid", "0.01,,x")])
+    def test_bad_grid_entry_exits_2_before_reading_files(self, tmp_path, capsys,
+                                                          option, grid):
+        out = tmp_path / "sweep.csv"
+        missing = str(tmp_path / "missing")
+        code = main(["kts-sweep", "--model", missing, "--data", missing,
+                     "--heldout", missing, option, grid, "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert option in capsys.readouterr().err
+        assert not out.exists()
 
     def test_heldout_is_required(self, tiny_artifacts, tmp_path, capsys):
         # a held-out set generated from the solver seed could repeat the
@@ -495,6 +513,8 @@ class TestRunPipeline:
         {"dataset": {**TINY["dataset"], "n": 9}},
         {"diagnostics": {"knn_k": 0}},
         {"diagnostics": {"k_mem": 1}},                   # f_mem needs k_mem >= 2
+        {"diagnostics": {"eps": 0.7}},                   # dominance needs eps < 0.5
+        {"diagnostics": {"kde_bandwidth": 0}},
     ])
     def test_invalid_values_exit_2_before_any_stage(self, tmp_path, section):
         cfg_path = tmp_path / "cfg.json"

@@ -96,7 +96,35 @@ class TestKnnDensity:
         np.testing.assert_array_max_ulp(knn_density(train, qs, k=5), np.array(want), maxulp=3)
 
 
+def midranks_loop(values: np.ndarray) -> np.ndarray:
+    """Reference average ranks (1-based): each run of ties shares its mid-rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestSpearman:
+    @pytest.mark.parametrize("n", [3, 21, 200])
+    def test_bitwise_equals_tie_loop_ranks(self, n):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(n)
+        # few distinct values, so most entries are tied
+        xs = rng.integers(0, max(2, n // 5), n).astype(float)
+        ys = np.round(rng.standard_normal(n), 1)
+        for v in (xs, ys):
+            assert np.array_equal(rankdata(v, method="average"), midranks_loop(v))
+        rx = midranks_loop(xs) - midranks_loop(xs).mean()
+        ry = midranks_loop(ys) - midranks_loop(ys).mean()
+        assert spearman(xs, ys) == float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+
     def test_monotone(self):
         assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
 

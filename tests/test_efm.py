@@ -28,6 +28,25 @@ class TestSchedule:
             GammaSchedule(gamma=lambda t: 0.5 * t, gamma_dot=lambda t: 0.5)
 
 
+class TestTimeTerms:
+    @pytest.mark.parametrize("schedule", [
+        linear_schedule(), GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)],
+        ids=["linear", "quadratic"])
+    def test_per_row_times_equal_one_time_calls(self, schedule):
+        # one array expression over the clamped times, with the bits of a
+        # one-time call at each row, clamped ends included
+        m = mix([[1.0, 0.0]], schedule)
+        rng = np.random.default_rng(16)
+        ts = np.concatenate([rng.random(5000), 1.0 - np.geomspace(1e-12, 1.0, 3000),
+                             [0.0, 1e-12, 1.0]])
+        g, sigma2 = efm._time_terms(m, ts)
+        assert g.shape == sigma2.shape == (len(ts), 1)
+        one = np.array([efm._time_terms(m, float(t)) for t in ts])
+        assert np.array_equal(g[:, 0], one[:, 0]) and np.array_equal(sigma2[:, 0], one[:, 1])
+        tc = min(max(0.37, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
+        assert efm._time_terms(m, 0.37) == (schedule.gamma(tc), (1.0 - schedule.gamma(tc)) ** 2)
+
+
 class TestPosteriorWeights:
     def test_single_atom(self):
         lam = posterior_weights(mix([[0.0, 0.0]]), np.zeros(2), 0.3)
@@ -127,13 +146,29 @@ class TestEfmVelocity:
     @pytest.mark.parametrize("neighbors", [None, 20])
     def test_time_sweep_matches_fixed_time_calls(self, neighbors):
         # the blow-up probe's fixed-x sweep runs on the same kernel
-        from kinflow.theory import _efm_speed2_over_times
         atoms = np.random.default_rng(13).standard_normal((1000, 2))
         f = EfmField(atoms, neighbors=neighbors)
         x = np.array([0.4, -1.1])
         ts = 1.0 - np.geomspace(1e-6, 1.0, 300)
         want = [float(f(x, t) @ f(x, t)) for t in ts]
-        np.testing.assert_allclose(_efm_speed2_over_times(f, x, ts), want, rtol=1e-12)
+        got = (efm._efm_rows(f, np.broadcast_to(x, (len(ts), 2)), ts) ** 2).sum(axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("neighbors", [None, 5])
+    def test_field_is_the_linear_schedule_mixture(self, neighbors):
+        # neighbors truncates the velocity only: posteriors and densities are
+        # those of the full linear-schedule mixture, bit for bit
+        rng = np.random.default_rng(15)
+        atoms = 2.0 * rng.standard_normal((40, 3))
+        f, m = EfmField(atoms, neighbors=neighbors), mix(atoms)
+        assert isinstance(f, MixtureModel) and f.schedule.gamma(0.3) == 0.3
+        zs = rng.standard_normal((25, 3))
+        ts = rng.uniform(0.05, 0.95, 25)
+        for t in (0.2, 0.7, ts):
+            assert np.array_equal(posterior_weights(f, zs, t), posterior_weights(m, zs, t))
+            assert np.array_equal(mixture_log_density(f, zs, t),
+                                  mixture_log_density(m, zs, t))
+        assert np.array_equal(mixture_score(f, zs[0], 0.4), mixture_score(m, zs[0], 0.4))
 
 
 def loop_rows(atoms, xs, ts, neighbors):
@@ -203,7 +238,7 @@ class TestBlockedKernel:
         atoms = 3.0 * rng.standard_normal((50, d))
         xs = rng.standard_normal((8000, d))
         ts = 1.0 - np.geomspace(1e-3, 1.0, 8000)
-        self.assert_full_softmax_close(atoms, xs, ts, efm._efm_rows(atoms, xs, ts, None))
+        self.assert_full_softmax_close(atoms, xs, ts, efm._efm_rows(EfmField(atoms), xs, ts))
 
     @pytest.mark.parametrize("neighbors", [None, 20])
     def test_work_arrays_stay_within_blocks(self, neighbors):
@@ -211,9 +246,10 @@ class TestBlockedKernel:
         atoms = rng.standard_normal((50, 2))
         xs = rng.standard_normal((8000, 2))
         ts = 1.0 - np.geomspace(1e-3, 1.0, 8000)
+        f = EfmField(atoms, neighbors=neighbors)
         tracemalloc.start()
         try:
-            out = efm._efm_rows(atoms, xs, ts, neighbors)
+            out = efm._efm_rows(f, xs, ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -218,7 +218,7 @@ class TestTraining:
         # a step size past float range overflows the activations immediately
         points = np.random.default_rng(15).standard_normal((20, 2))
         cfg = TrainConfig(learning_rate=1e160, iterations=500, batch_size=8, seed=3)
-        with pytest.raises(TrainingDiverged) as err:
+        with pytest.raises(TrainingDiverged) as err, pytest.warns(RuntimeWarning):
             train(points, cfg)
         assert err.value.iteration == 1
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kinflow import cli, efm, theory
+from kinflow import cli, efm, sampler, theory
 from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
                          general_velocity, linear_schedule, mixture_log_density,
                          mixture_score)
@@ -29,8 +29,7 @@ class TestBoundConstants:
             assert abs(consts.upper_slope - 12.0) <= 1e-14
 
     def test_slope_ordering(self):
-        quad = GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t,
-                             kind="custom")
+        quad = GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)
         m = mix(np.random.default_rng(1).standard_normal((4, 3)), schedule=quad)
         consts = bound_constants(m, 0.4, 1, 0.2)
         assert consts.lower_slope <= consts.upper_slope
@@ -310,13 +309,14 @@ class TestBlowupProbe:
         radius = np.sqrt((f.atoms ** 2).sum(axis=1)).max()
         search = 1.0 - np.geomspace(0.5, max(deltas[0], 1e-6), theory.SEARCH_NODES)
         t_bar = next(float(t) for t in search if 2.0 * radius * (
-            1.0 - efm.posterior_weights(f.mixture(), x, float(t)).max()) <= c / 2.0)
+            1.0 - efm.posterior_weights(f, x, float(t)).max()) <= c / 2.0)
         u_hi = 1.0 - t_bar
         entries = []
         for delta in deltas:
             nodes = max(64, int(np.ceil(np.log10(u_hi / delta) * theory.NODES_PER_DECADE)) + 1)
             u = np.geomspace(delta, u_hi, nodes)
-            integral = float(np.trapezoid(theory._efm_speed2_over_times(f, x, 1.0 - u), u))
+            v = efm._efm_rows(f, np.broadcast_to(x, (nodes, len(x))), 1.0 - u)
+            integral = float(np.trapezoid((v ** 2).sum(axis=1), u))
             bound = (c ** 2 / 4.0) * (1.0 / delta - 1.0 / u_hi)
             entries.append((delta, integral, integral >= bound * (1.0 - REL_SLACK)))
         return t_bar, entries
@@ -326,7 +326,7 @@ class TestBlowupProbe:
         rng = np.random.default_rng(seed)
         for dim in (1, 2, 5):
             atoms = 3.0 * rng.standard_normal((50, dim))
-            x, c = cli._isolated_probe(atoms)
+            x, c = theory.isolated_probe(atoms)
             f = EfmField(atoms)
             for deltas in ([5e-3, 2e-3, 1e-3], [1e-2, 2.5e-3, 5e-3],
                            [1e-3, 1e-2, 1e-4, 1e-3]):
@@ -344,7 +344,7 @@ class TestBlowupProbe:
         monkeypatch.setattr(theory, "_efm_rows",
                             lambda *a: calls.append(len(a[1])) or real(*a))
         atoms = 3.0 * np.random.default_rng(4).standard_normal((50, 2))
-        x, c = cli._isolated_probe(atoms)
+        x, c = theory.isolated_probe(atoms)
         blowup_probe(EfmField(atoms), x, c, deltas=[5e-3, 2e-3, 1e-3])
         assert len(calls) == 1
 
@@ -530,6 +530,27 @@ class TestBatchedSuite:
         assert len(calls) == 3 * (9 + 1 + 1) + groups + searched
         checked = sum(b["n_checked"] for b in report["bounds"])
         assert checked > 2 * groups and report["all_passed"]
+
+    def test_one_mixture_object_per_dim(self, monkeypatch):
+        # the bound sampling, the blow-up probe and the integrated trajectory
+        # all take the dim's one EfmField
+        seen = {}
+
+        def spy(name, real):
+            def call(f, *args, **kwargs):
+                seen.setdefault(name, []).append(f)
+                return real(f, *args, **kwargs)
+            return call
+
+        for mod, name in ((theory, "sample_dominant_points"), (theory, "blowup_probe"),
+                          (sampler, "integrate")):
+            monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+        atoms = report_atoms(5)
+        cli._theory_report(atoms, [0.1], 5)
+        assert [len(fs) for fs in seen.values()] == [3, 3, 3]
+        for a, *fs in zip(atoms.values(), *seen.values()):
+            assert fs[0] is fs[1] is fs[2] and isinstance(fs[0], EfmField)
+            assert np.array_equal(fs[0].atoms, a)
 
     @pytest.mark.parametrize("name, plant, section", [
         # a velocity 1e4 times too fast: the energy exceeds the upper bound
