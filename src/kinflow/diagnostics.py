@@ -1,9 +1,10 @@
 """Density estimates, rank statistics, memorization fraction, and exact W2.
 
-Spearman's rho correlates scipy's average ranks.  The Mann-Whitney test is
-implemented directly so that small-sample behavior is exact: it enumerates
-all rank assignments when the combined sample has at most 20 observations
-and switches to the tie-corrected normal approximation above that.
+Spearman's rho correlates average ranks, where each run of ties shares its
+mid-rank.  The Mann-Whitney test is implemented directly so that
+small-sample behavior is exact: it enumerates all rank assignments when the
+combined sample has at most 20 observations and switches to the
+tie-corrected normal approximation above that.
 Densities are reported through a k-NN estimate (k / (n * ball_volume(r_k)))
 and the Gaussian KDE from :mod:`kinflow.datasets`.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .datasets import KdeEstimator, LabeledDataset
 from .efm import _sq_dists
@@ -47,17 +47,24 @@ def knn_density(train, q, k: int) -> float | np.ndarray:
     return float(density[0]) if q.ndim == 1 else density
 
 
+def _midranks(v: np.ndarray) -> np.ndarray:
+    """1-based average ranks of a 1-D array: each run of ties shares its mid-rank."""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
+
+
 def spearman(xs, ys) -> float:
     """Rank correlation: Pearson correlation of mid-ranks."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) != len(ys) or len(xs) < 3:
         raise ValueError("inputs must have equal length >= 3")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        raise ValueError("inputs must not contain NaN")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise UndefinedStatistic("correlation is undefined for a constant input")
-    from scipy.stats import rankdata     # here, not at the top: it takes ~0.5 s to import
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = _midranks(xs)
+    ry = _midranks(ys)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
@@ -181,6 +188,8 @@ def exact_w2(a, b) -> float:
         raise ValueError(f"point sets must have equal size, got {len(a)} and {len(b)}")
     if len(a) > 1024:
         raise ValueError("exact matching is limited to 1024 points")
+    # the only scipy import in kinflow, here so that start-up does not pay it
+    from scipy.optimize import linear_sum_assignment
     cost = _sq_dists(a, b, 1.0)
     rows, cols = linear_sum_assignment(cost)
     return float(math.sqrt(cost[rows, cols].mean()))

@@ -98,7 +98,10 @@ def zero_params() -> MlpParams:
 
 
 def _silu(x):
-    s = 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf for x below about -709, where the sigmoid's
+    # limit 1 / (1 + inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
     return x * s, s
 
 

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .efm import (EfmField, MixtureModel, T_CLAMP, _check_unit_interval,
-                  _dominant, _efm_rows, _score, _score_coeffs, _softmax_parts,
-                  _sq_dists, _velocity, dominance, mixture_log_density, posterior_weights)
+                  _dominant, _efm_rows, _row_step, _score, _score_coeffs,
+                  _softmax_parts, _sq_dists, _velocity, dominance,
+                  mixture_log_density, posterior_weights)
 
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
@@ -342,16 +343,23 @@ def isolated_probe(atoms: np.ndarray) -> tuple[np.ndarray, float]:
 
     The point sits a third of the isolation radius away from that atom, so
     the terminal posterior concentrates on it early and the non-collision
-    bound c is comfortably positive.
+    bound c is comfortably positive.  The self distances are taken in row
+    blocks, so memory stays at a few blocks rather than (N, N).
     """
     atoms = np.asarray(atoms, dtype=np.float64)
-    if len(atoms) == 1:
+    n = len(atoms)
+    if n == 1:
         x = atoms[0].copy()
         x[0] += 1.0
         return x, 0.9
-    d2 = _sq_dists(atoms, atoms, 1.0)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.sqrt(d2.min(axis=1))
+    step = _row_step(n, n)
+    nearest2 = np.empty(n)
+    for lo in range(0, n, step):
+        d2 = _sq_dists(atoms[lo:lo + step], atoms, 1.0)
+        rows = np.arange(len(d2))
+        d2[rows, lo + rows] = np.inf
+        nearest2[lo:lo + step] = d2.min(axis=1)
+    nearest = np.sqrt(nearest2)
     j = int(np.argmax(nearest))
     x = atoms[j].copy()
     x[0] += nearest[j] / 3.0

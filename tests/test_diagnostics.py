@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from kinflow import diagnostics
 from kinflow.datasets import gen_dense_sparse
-from kinflow.diagnostics import (UndefinedStatistic, cliffs_delta, cohens_d,
-                                 exact_w2, f_mem, knn_density,
+from kinflow.diagnostics import (UndefinedStatistic, _midranks, cliffs_delta,
+                                 cohens_d, exact_w2, f_mem, knn_density,
                                  kpe_density_report, mann_whitney_u, spearman)
 
 
@@ -114,16 +114,37 @@ def midranks_loop(values: np.ndarray) -> np.ndarray:
 class TestSpearman:
     @pytest.mark.parametrize("n", [3, 21, 200])
     def test_bitwise_equals_tie_loop_ranks(self, n):
-        from scipy.stats import rankdata
         rng = np.random.default_rng(n)
         # few distinct values, so most entries are tied
         xs = rng.integers(0, max(2, n // 5), n).astype(float)
         ys = np.round(rng.standard_normal(n), 1)
         for v in (xs, ys):
-            assert np.array_equal(rankdata(v, method="average"), midranks_loop(v))
+            assert np.array_equal(_midranks(v), midranks_loop(v))
         rx = midranks_loop(xs) - midranks_loop(xs).mean()
         ry = midranks_loop(ys) - midranks_loop(ys).mean()
         assert spearman(xs, ys) == float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+
+    @pytest.mark.parametrize("n", [3, 21, 200])
+    def test_midranks_bitwise_equal_scipy_average_ranks(self, n):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(100 + n)
+        tied = rng.integers(0, max(2, n // 5), n).astype(float)
+        tied[:2] = np.inf           # a tied run of +inf
+        tied[-1] = -np.inf
+        untied = rng.standard_normal(n)
+        untied[0], untied[-1] = np.inf, -np.inf
+        for v in (tied, untied):
+            got = _midranks(v)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, rankdata(v, method="average"))
+            assert np.array_equal(got, midranks_loop(v))
+
+    def test_nan_rejected(self):
+        # np.unique would rank NaN last; a NaN input gets no finite rho
+        for xs, ys in (([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+                       ([1.0, 2.0, 3.0], [np.nan, np.nan, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                spearman(xs, ys)
 
     def test_monotone(self):
         assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)

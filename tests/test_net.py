@@ -1,6 +1,7 @@
 """Tests for the MLP velocity field, its gradients, and AdamW training."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestForward:
         p = init_params(3)
         z = np.array([0.3, -1.2])
         assert np.array_equal(forward(p, z, 0.4), forward(p, z, 0.4))
+
+    def test_silu_exact_limits_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            act, sig = net._silu(np.array([-1000.0, 1000.0]))
+        assert np.array_equal(sig, [0.0, 1.0])
+        assert np.array_equal(act, [0.0, 1000.0])
 
     def test_matches_independent_reimplementation(self):
         # plain-loop duplicate of the forward pass, checked on 10 random draws
@@ -218,9 +226,10 @@ class TestTraining:
         # a step size past float range overflows the activations immediately
         points = np.random.default_rng(15).standard_normal((20, 2))
         cfg = TrainConfig(learning_rate=1e160, iterations=500, batch_size=8, seed=3)
-        with pytest.raises(TrainingDiverged) as err, pytest.warns(RuntimeWarning):
+        with pytest.raises(TrainingDiverged) as err, pytest.warns(RuntimeWarning) as seen:
             train(points, cfg)
         assert err.value.iteration == 1
+        assert any("overflow encountered in matmul" in str(w.message) for w in seen)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

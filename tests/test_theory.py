@@ -1,5 +1,7 @@
 """Tests for the energy-density bound suite and terminal blow-up probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,45 @@ class TestBlowupProbe:
         x, c = theory.isolated_probe(atoms)
         blowup_probe(EfmField(atoms), x, c, deltas=[5e-3, 2e-3, 1e-3])
         assert len(calls) == 1
+
+
+def full_matrix_probe(atoms):
+    """The isolated probe from the whole (N, N) self-distance matrix."""
+    d2 = efm._sq_dists(atoms, atoms, 1.0)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.sqrt(d2.min(axis=1))
+    j = int(np.argmax(nearest))
+    x = atoms[j].copy()
+    x[0] += nearest[j] / 3.0
+    return x, 0.9 * float(np.sqrt(efm._sq_dists(x[None, :], atoms, 1.0).min()))
+
+
+class TestIsolatedProbe:
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_bitwise_equals_full_matrix(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        # 600 atoms take several row blocks
+        for n in (2, 50, 600):
+            atoms = 3.0 * rng.standard_normal((n, dim))
+            dup = atoms.copy()
+            dup[n // 2:] = dup[:n - n // 2]          # every atom has a twin
+            some = atoms.copy()
+            some[1::7] = some[0]                     # a few duplicates
+            for a in (atoms, dup, some):
+                x, c = theory.isolated_probe(a)
+                want_x, want_c = full_matrix_probe(a)
+                assert np.array_equal(x, want_x) and c == want_c
+
+    def test_memory_stays_within_blocks(self):
+        atoms = np.random.default_rng(8).standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            theory.isolated_probe(atoms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few block-sized arrays; the (2000, 2000) matrix alone is 32 MB
+        assert peak <= 4 * 8 * efm.BLOCK_ELEMS + 65536
 
 
 class TestUniversalLowerBound:
