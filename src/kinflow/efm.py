@@ -15,6 +15,12 @@ velocity representations are provided:
       u(z, t) = alpha(t) grad log p_t(z) + beta(t) z,
       alpha = gdot sigma^2 / (gamma (1 - gamma)),  beta = gdot / gamma.
 
+The top-K velocity works in two stages.  It ranks the atoms by the key
+||x_i||^2 - 2 (x / gamma) . x_i, which orders them as the bridge distances
+||x - gamma x_i|| do, with one BLAS product per block of rows (``_top_k``).
+It then takes direct-difference bridge distances for the K kept atoms only
+(``_sq_dists`` over per-row point sets) and runs the softmax over them.
+
 All operations are pure functions of immutable inputs.  A schedule's gamma
 takes one time or an array of times.  Times are clamped to [1e-9, 1 - 1e-9]
 for gamma and sigma^2 only (``_time_terms``); the 1/(1 - t) velocity factor
@@ -108,21 +114,23 @@ def _row_step(n_rows: int, n_cols: int) -> int:
 
 
 def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
-    """||x_b - scale * y_i||^2 of the (B, d) points ``xs`` against the (N, d)
-    points ``ys``, (B, N), into ``out`` if given; ``scale`` is 1.0 for plain
+    """||x_b - scale * y||^2 of the (B, d) points ``xs`` against the (N, d)
+    points ``ys``, or against each row's own points of a (B, K, d) ``ys``,
+    (B, N) or (B, K), into ``out`` if given; ``scale`` is 1.0 for plain
     distances, or a scalar or (B, 1) column of bridge factors.
 
     Direct differences, squared and summed coordinate by coordinate: the
     expanded form ||x||^2 - 2 x.y + ||y||^2 cancels badly for near points.
-    For d < 8 the sum is bitwise the broadcast ``.sum(axis=-1)`` of squares.
+    For d < 8 the sum is bitwise the broadcast ``.sum(axis=-1)`` of squares,
+    and an entry's bits do not depend on which points share its call.
     """
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError(f"points of dimension {xs.shape[1]} against {ys.shape[1]}")
-    out = np.empty((len(xs), len(ys))) if out is None else out
-    part = np.empty_like(out) if ys.shape[1] > 1 else None
-    for k in range(ys.shape[1]):
+    if xs.shape[1] != ys.shape[-1]:
+        raise ValueError(f"points of dimension {xs.shape[1]} against {ys.shape[-1]}")
+    out = np.empty((len(xs), ys.shape[-2])) if out is None else out
+    part = np.empty_like(out) if ys.shape[-1] > 1 else None
+    for k in range(ys.shape[-1]):
         dst = out if k == 0 else part
-        np.multiply(scale, ys[:, k], out=dst)
+        np.multiply(scale, ys[..., k], out=dst)
         np.subtract(xs[:, k, None], dst, out=dst)
         np.square(dst, out=dst)
         if k:
@@ -253,11 +261,16 @@ class EfmField(MixtureModel):
 
     schedule: GammaSchedule = field(default_factory=linear_schedule, init=False)
     neighbors: int | None = None
+    #: the top-K ranking key's -2 atoms^T, (d, N) contiguous, and ||x_i||^2
+    _rank_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _rank_offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         if self.neighbors is not None and not (1 <= self.neighbors <= self.n_atoms):
             raise ValueError(f"neighbors must lie in [1, {self.n_atoms}]")
+        object.__setattr__(self, "_rank_matrix", np.ascontiguousarray(-2.0 * self.atoms.T))
+        object.__setattr__(self, "_rank_offset", np.square(self.atoms).sum(axis=1))
 
     def __call__(self, x, t: float) -> np.ndarray:
         # t = 0 is allowed (uniform weights, unit bridge factor); t >= 1 is the
@@ -270,36 +283,54 @@ class EfmField(MixtureModel):
         return out[0] if x.ndim == 1 else out
 
 
+def _top_k(f: EfmField, x: np.ndarray, g, out: np.ndarray) -> np.ndarray:
+    """Indices of the ``f.neighbors`` atoms nearest to each (B, d) row of
+    ``x`` in bridge distance ||x - g x_i||, (B, K) in ``argpartition`` order,
+    ranked in the (B, N) buffer ``out``.  The key ||x_i||^2 - 2 (x / g) . x_i
+    is ||x / g - x_i||^2 less a per-row constant, so one BLAS product orders
+    the atoms as the bridge distances do; at g = 1e-9 (t = 0) it still
+    resolves x . x_i differences of 1e-9, which direct differences cannot."""
+    key = np.matmul(x / g, f._rank_matrix, out=out)
+    key += f._rank_offset
+    return np.argpartition(key, f.neighbors - 1, axis=1)[:, :f.neighbors]
+
+
 def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     """Velocities of ``f`` at the (B, d) queries ``xs``, at one time ``t`` or
     one per row.
 
     The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
     elements, each built in place, so that no (rows, N) array outgrows the
-    cache.  Top-K rows do not depend on the blocking; a full-softmax row's
-    ``w @ atoms`` product may differ in the last bit from one whole-array
-    product, since BLAS results can depend on the number of rows.
+    cache.  A top-K block ranks every atom (``_top_k``), then takes direct-
+    difference bridge distances for the K kept atoms only, into the ranking
+    buffer; each is bitwise the full-softmax block's entry.  Top-K rows do
+    not depend on the blocking, except that a one-row block ranks with a
+    matrix-vector product, whose keys can differ in the last bit; that
+    reorders only atoms whose keys agree to within that bit.  A full-softmax
+    row's ``w @ atoms`` product may differ in the last bit from one
+    whole-array product, since BLAS results can depend on the number of rows.
     """
     t = np.asarray(t, dtype=np.float64)
     n_rows, k = len(xs), f.neighbors
     truncate = k is not None and k < f.n_atoms
     step = _row_step(n_rows, f.n_atoms)
-    d2_buf = np.empty((min(step, n_rows), f.n_atoms))
+    buf = np.empty((min(step, n_rows), f.n_atoms))
     out = np.empty(xs.shape)
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
         g, sigma2 = _time_terms(f, tb)
-        logw = d2 = _sq_dists(x, f.atoms, g, d2_buf[:len(x)])
         if truncate:
-            kept = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            logw = np.take_along_axis(d2, kept, axis=1)
+            near = np.take(f.atoms, _top_k(f, x, g, buf[:len(x)]), axis=0)
+            logw = _sq_dists(x, near, g, buf.reshape(-1)[:len(x) * k].reshape(len(x), k))
+        else:
+            logw = _sq_dists(x, f.atoms, g, buf[:len(x)])
         np.negative(logw, out=logw)
         logw /= 2.0 * sigma2
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw, out=logw)
         w /= w.sum(axis=1, keepdims=True)
-        targets = np.einsum("bk,bkd->bd", w, f.atoms[kept]) if truncate else w @ f.atoms
+        targets = np.einsum("bk,bkd->bd", w, near) if truncate else w @ f.atoms
         targets -= x
         np.divide(targets, 1.0 - tb, out=out[lo:lo + step])
     return out

@@ -263,6 +263,46 @@ def broadcast_sq_dists(xs, ys, scale=1.0):
     return ((xs[:, None, :] - np.asarray(scale)[..., None] * ys[None, :, :]) ** 2).sum(axis=2)
 
 
+class TestTopKRanking:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 64), st.sampled_from([1, 2, 5]),
+           st.sampled_from([1, 7, -1]), st.sampled_from([1e-6, 0.3, 0.999]))
+    def test_kept_set_is_a_top_k_and_rows_equal_the_row_loop(self, seed, n, d, k, t):
+        rng = np.random.default_rng(seed)
+        # atoms drawn from a smaller pool, so that most have duplicates
+        pool = 2.0 * rng.standard_normal((rng.integers(1, n + 1), d))
+        atoms = pool[rng.integers(0, len(pool), n)]
+        k %= n  # -1 keeps all atoms but one
+        xs = t * atoms[rng.integers(0, n, 40)] + (1.0 - t) * rng.standard_normal((40, d))
+        f = EfmField(atoms, neighbors=k)
+        kept = efm._top_k(f, xs, t, np.empty((40, n)))
+        d2 = broadcast_sq_dists(xs, atoms, t)
+        dropped = np.ones(d2.shape, dtype=bool)
+        np.put_along_axis(dropped, kept, False, axis=1)
+        assert (~dropped).sum(axis=1).tolist() == [k] * 40
+        kept_max = np.take_along_axis(d2, kept, axis=1).max(axis=1)
+        dropped_min = np.where(dropped, d2, np.inf).min(axis=1)
+        assert np.all(kept_max <= dropped_min + 4 * np.spacing(dropped_min))
+        assert np.array_equal(f(xs, t), loop_rows(atoms, xs, t, k))
+
+    def test_t0_keeps_the_largest_inner_products(self):
+        # t = 0 is clamped to g = 1e-9, where ||x - g a||^2 = ||x||^2
+        # - 2e-9 x.a + 1e-18 ||a||^2: inner products 1e-9 apart move it by
+        # about 2e-18, below the spacing of x_1 in [1, 2), so direct
+        # differences tie every atom; the key -2 (x / g).a + ||a||^2 tells
+        # them apart by about 2
+        n, k = 64, 10
+        atoms = np.zeros((n, 2))
+        atoms[:, 0] = 1e-9 * np.random.default_rng(16).permutation(n)
+        xs = np.array([[1.25, 0.0], [1.5, -0.5], [1.75, 2.0]])
+        assert np.all(np.ptp(broadcast_sq_dists(xs, atoms, efm.T_CLAMP), axis=1) == 0)
+        f = EfmField(atoms, neighbors=k)
+        top = np.sort(np.argsort(atoms[:, 0])[-k:])
+        kept = efm._top_k(f, xs, efm.T_CLAMP, np.empty((3, n)))
+        assert all(np.array_equal(np.sort(row), top) for row in kept)
+        np.testing.assert_allclose(f(xs, 0.0), EfmField(atoms[top])(xs, 0.0), rtol=0, atol=1e-15)
+
+
 class TestSqDists:
     # (rows, columns) of each caller: a KDE row block and one KDE query, k-NN,
     # f_mem and nearest strata on a ci diagnose, the W2 cost matrix, the
@@ -291,6 +331,10 @@ class TestSqDists:
             buf = np.empty((40, 300))
             assert efm._sq_dists(xs, ys, scale, buf) is buf
             assert np.array_equal(buf, broadcast_sq_dists(xs, ys, scale))
+            # each row against its own points: the same entries, bit for bit
+            idx = rng.integers(0, 300, (40, 7))
+            assert np.array_equal(efm._sq_dists(xs, ys[idx], scale),
+                                  np.take_along_axis(buf, idx, axis=1))
 
 
 class TestBatchedQueries:
