@@ -10,8 +10,6 @@ This demo trains briefly (2000 steps) to stay fast; the pipeline profiles in
 the CLI run longer.
 """
 
-import numpy as np
-
 import kinflow as kf
 
 
@@ -23,13 +21,10 @@ def main():
 
     field = kf.NeuralVelocityField(result.params)
     cfg = kf.SolverConfig(method="euler", steps=50, seed=5)
-    trajs = kf.sample_batch(field, 200, cfg)
+    batch = kf.sample_batch(field, 200, cfg)
+    report = kf.kpe_density_report(batch.kpe, batch.endpoint, data)
 
-    kpes = np.array([t.kpe for t in trajs])
-    endpoints = np.array([t.endpoint for t in trajs])
-    report = kf.kpe_density_report(kpes, endpoints, data)
-
-    print(f"sampled {len(trajs)} trajectories, mean energy {kpes.mean():.3f}")
+    print(f"sampled {len(batch)} trajectories, mean energy {batch.kpe.mean():.3f}")
     print(f"  energy of sparse-stratum endpoints: {report.mean_kpe_sparse:.3f} "
           f"({report.n_sparse} trajectories)")
     print(f"  energy of dense-stratum endpoints:  {report.mean_kpe_dense:.3f} "

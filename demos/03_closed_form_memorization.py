@@ -8,8 +8,6 @@ trained network does not show.  Compare both fields with the same midpoint
 solver.
 """
 
-import numpy as np
-
 import kinflow as kf
 from kinflow.efm import EfmField
 
@@ -28,16 +26,15 @@ def main():
     for label, (field, delta_cut) in runs.items():
         cfg = kf.SolverConfig(method="midpoint", steps=100,
                               delta_cut=delta_cut, seed=5)
-        trajs = kf.sample_batch(field, 200, cfg)
-        endpoints = np.array([t.endpoint for t in trajs])
-        mem = kf.f_mem(endpoints, data.points)
-        mean_power = np.stack([t.power for t in trajs]).mean(axis=0)
-        powers[label] = (trajs[0].times[:-1], mean_power)
+        batch = kf.sample_batch(field, 200, cfg)
+        mem = kf.f_mem(batch.endpoint, data.points)
+        mean_power = batch.power.mean(axis=0)
+        powers[label] = (batch.times[:-1], mean_power)
         peak_step = int(mean_power.argmax())
         print(f"{label:12s} f_mem={mem.f_mem:.3f} "
               f"peak_power={mean_power.max():9.2f} "
-              f"at t={trajs[0].times[peak_step]:.3f} "
-              f"mean_kpe={np.mean([t.kpe for t in trajs]):.2f}")
+              f"at t={batch.times[peak_step]:.3f} "
+              f"mean_kpe={batch.kpe.mean():.2f}")
 
     ratio = powers["closed-form"][1].max() / powers["neural"][1].max()
     print(f"\npeak power ratio (closed-form / neural): {ratio:.1f}x")

@@ -8,8 +8,6 @@ the fraction of samples that land within the memorization gap ratio of a
 training atom.
 """
 
-import numpy as np
-
 import kinflow as kf
 
 
@@ -28,13 +26,10 @@ def main():
 
     print(f"{'alpha0':>7} {'beta0':>7} {'kpe_early':>10} {'kpe_late':>9} {'f_mem':>6}")
     for c, (a0, b0) in enumerate(cells):
-        trajs = batch[c * m:(c + 1) * m]
-        endpoints = np.array([t.endpoint for t in trajs])
-        mem = kf.f_mem(endpoints, data.points)
-        print(f"{a0:7.2f} {b0:7.2f} "
-              f"{np.mean([t.kpe_early for t in trajs]):10.4f} "
-              f"{np.mean([t.kpe_late for t in trajs]):9.4f} "
-              f"{mem.f_mem:6.3f}")
+        block = batch[c * m:(c + 1) * m]
+        mem = kf.f_mem(block.endpoint, data.points)
+        print(f"{a0:7.2f} {b0:7.2f} {block.kpe_early.mean():10.4f} "
+              f"{block.kpe_late.mean():9.4f} {mem.f_mem:6.3f}")
 
     print("\nthe launch knob moves the early column up; the landing knob moves")
     print("the late column down. The memorization effect of damping shows up")

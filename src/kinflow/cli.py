@@ -194,17 +194,17 @@ def stage_train(cfg: ExperimentConfig, outdir: str) -> dict:
 
 
 def _sample(field_fn, label: str, solver: SolverStageConfig,
-            schedule: sampler.KtsSchedule, outdir: str) -> list[sampler.Trajectory]:
+            schedule: sampler.KtsSchedule, outdir: str) -> sampler.Trajectory:
     """``solver.m`` trajectories under ``schedule``, written to ``outdir`` as
     ``traces.csv`` and ``summary.json``."""
     meta = {"field": label, "seed": solver.seed, "alpha0": schedule.alpha0,
             "beta0": schedule.beta0, "k": schedule.k}
-    trajs = sampler.sample_batch(field_fn, solver.m, solver, tau_split=schedule.tau_split,
+    batch = sampler.sample_batch(field_fn, solver.m, solver, tau_split=schedule.tau_split,
                                  meta=meta, schedules=(schedule,))
     os.makedirs(outdir, exist_ok=True)
-    sampler.save_traces(trajs, os.path.join(outdir, "traces.csv"))
-    _write_json(os.path.join(outdir, "summary.json"), sampler.batch_summary(trajs))
-    return trajs
+    sampler.save_traces(batch, os.path.join(outdir, "traces.csv"))
+    _write_json(os.path.join(outdir, "summary.json"), sampler.batch_summary(batch))
+    return batch
 
 
 def stage_sample(cfg: ExperimentConfig, outdir: str) -> dict:
@@ -444,16 +444,15 @@ def kts_sweep(params: net.MlpParams, data: datasets.LabeledDataset,
         schedules=[replace(cfg.kts, alpha0=a0, beta0=b0) for a0, b0 in cells])
     rows = []
     for c, (a0, b0) in enumerate(cells):
-        trajs = batch[c * m:(c + 1) * m]
-        endpoints = np.array([t.endpoint for t in trajs])
-        mem = diagnostics.f_mem(endpoints, data.points,
+        block = batch[c * m:(c + 1) * m]
+        mem = diagnostics.f_mem(block.endpoint, data.points,
                                 tau_gap=cfg.diagnostics.tau_gap,
                                 k_mem=cfg.diagnostics.k_mem)
-        w2 = diagnostics.exact_w2(endpoints, heldout_points[:len(endpoints)])
+        w2 = diagnostics.exact_w2(block.endpoint, heldout_points[:m])
         rows.append({
             "alpha0": a0, "beta0": b0, "w2": w2, "f_mem": mem.f_mem,
-            "kpe_early": float(np.mean([t.kpe_early for t in trajs])),
-            "kpe_late": float(np.mean([t.kpe_late for t in trajs])),
+            "kpe_early": float(np.mean(block.kpe_early)),
+            "kpe_late": float(np.mean(block.kpe_late)),
         })
     return rows
 
@@ -543,8 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau-split", type=float, default=kts.tau_split)
     s.add_argument("--delta-cut", type=float, default=None,
                    help="terminal cutoff; defaults to 0 (model) or 1e-3 (efm)")
-    s.add_argument("--neighbors", type=int, default=100,
-                   help="closed-form softmax truncation (efm only)")
     s.add_argument("--out", required=True, help="output directory")
 
     d = sub.add_parser("diagnose", help="energy/density statistics from traces")
@@ -615,19 +612,16 @@ def _cmd_sample(args) -> int:
         base = net.NeuralVelocityField(net.load_checkpoint(args.model))
         label, delta_cut = "neural", 0.0
     else:
-        points = datasets.load_csv(args.efm).points
-        neighbors = min(args.neighbors, len(points)) if args.neighbors else None
-        base = EfmField(points, neighbors=neighbors)
+        base = EfmField(datasets.load_csv(args.efm).points)
         label, delta_cut = "efm", 1e-3
     solver = SolverStageConfig(
         method=args.solver, steps=args.steps, seed=args.seed, m=args.m,
         delta_cut=delta_cut if args.delta_cut is None else args.delta_cut)
     schedule = sampler.KtsSchedule(alpha0=args.alpha0, beta0=args.beta0,
                                    k=args.k, tau_split=args.tau_split)
-    trajs = _sample(base, label, solver, schedule, args.out)
-    mean_kpe = float(np.mean([t.kpe for t in trajs]))
+    batch = _sample(base, label, solver, schedule, args.out)
     print(f"wrote {args.out}/traces.csv ({args.m} trajectories, "
-          f"mean energy {mean_kpe:.3f})")
+          f"mean energy {batch.kpe.mean():.3f})")
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ Any callable ``field(x, t) -> velocity`` that takes an (m, d) batch of states
 and returns an (m, d) velocity, or one that broadcasts to it, can be
 integrated on a uniform grid over [0, 1 - delta_cut] with forward Euler or the
 explicit midpoint rule.  All trajectories of a batch advance together: one
-field call per solver stage per step, whatever m is.  The
+field call per solver stage per step, whatever m is, and come back as one
+``Trajectory`` record with a row axis.  The
 per-step instantaneous power ||v||^2 is recorded at the evaluation that moves
 the state (Euler: left endpoint; midpoint: the midpoint evaluation), and the
 kinetic path energy is the half-sum of power times the step width.
@@ -19,7 +20,7 @@ solver stage per step.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,23 +89,35 @@ def kts_eta(s: KtsSchedule, t: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One integrated path with its power trace and accumulated energy.
+    """m integrated paths with their power traces and accumulated energies.
 
-    ``times`` has steps+1 grid points; ``velocities`` and ``power`` have one
-    entry per step at the step's defining evaluation.  ``kpe`` is
-    ``kpe_early + kpe_late`` split at ``tau_split`` by the step's left grid
-    time.
+    ``times`` (steps+1 grid points), ``tau_split`` and ``meta`` are shared;
+    the other arrays have a leading row axis, which an integer index drops
+    (one path, as iteration yields) and a slice keeps (a block).  Per step,
+    ``velocities`` and ``power`` hold the defining evaluation; ``kpe`` is
+    ``kpe_early + kpe_late``, split at ``tau_split`` by the left grid time.
     """
 
     times: np.ndarray       # (N+1,)
-    states: np.ndarray      # (N+1, d)
-    velocities: np.ndarray  # (N, d)
-    power: np.ndarray       # (N,)
-    kpe: float
-    kpe_early: float
-    kpe_late: float
+    states: np.ndarray      # (m, N+1, d)
+    velocities: np.ndarray  # (m, N, d)
+    power: np.ndarray       # (m, N)
+    kpe_early: np.ndarray   # (m,)
+    kpe_late: np.ndarray    # (m,)
     tau_split: float
     meta: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.kpe_early)
+
+    def __getitem__(self, rows) -> Trajectory:
+        return replace(self, states=self.states[rows], velocities=self.velocities[rows],
+                       power=self.power[rows], kpe_early=self.kpe_early[rows],
+                       kpe_late=self.kpe_late[rows])
+
+    @property
+    def kpe(self):
+        return self.kpe_early + self.kpe_late
 
     @property
     def dt(self) -> float:
@@ -112,12 +125,11 @@ class Trajectory:
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :]
 
     def cum_kpe(self) -> np.ndarray:
         """Accumulated energy after each grid point (starts at 0)."""
-        inc = 0.5 * self.power * self.dt
-        return np.concatenate([[0.0], np.cumsum(inc)])
+        return np.cumsum(np.insert(0.5 * self.power * self.dt, 0, 0.0, axis=-1), axis=-1)
 
 
 def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
@@ -127,9 +139,9 @@ def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
     c*m + i starts at x0[i] and follows eta_c(t) * field(x, t) (the field
     itself when ``schedules`` is None).  One field call per solver stage per
     step, on the rows still finite; each row's gain multiplies its velocity
-    before the finiteness check.  Returns the trajectories (row views of one
-    (C*m, N+1, d) buffer; valid only without failures) and the sorted
-    (row, step) pairs at which rows turned non-finite."""
+    before the finiteness check.  Returns the (C*m)-row record (valid only
+    without failures) and the sorted (row, step) pairs at which rows turned
+    non-finite."""
     m, dim = x0.shape
     dt = (1.0 - cfg.delta_cut) / cfg.steps
     times = np.linspace(0.0, 1.0 - cfg.delta_cut, cfg.steps + 1)
@@ -172,26 +184,26 @@ def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
     kpe_late = 0.5 * power[:, ~early].sum(axis=1) * dt
     info = {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut,
             **(meta or {})}
-    return [Trajectory(times, states[i], velocities[i], power[i], float(ke + kl),
-                       float(ke), float(kl), tau_split, dict(info))
-            for i, (ke, kl) in enumerate(zip(kpe_early, kpe_late))], sorted(failures)
+    return (Trajectory(times, states, velocities, power, kpe_early, kpe_late, tau_split,
+                       info), sorted(failures))
 
 
 def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
               tau_split: float = 0.6, meta: dict | None = None) -> Trajectory:
     """Integrate one trajectory from ``x0``: the m = 1 case of the batched
     core, so the field is called with a (1, d) batch."""
-    trajs, failures = _integrate_rows(field_fn, np.array(x0, dtype=np.float64)[None, :],
+    batch, failures = _integrate_rows(field_fn, np.array(x0, dtype=np.float64)[None, :],
                                       cfg, tau_split, meta)
     if failures:
         raise IntegrationDiverged(failures[0][1])
-    return trajs[0]
+    return batch[0]
 
 
 def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
                  tau_split: float = 0.6, meta: dict | None = None,
-                 schedules: Sequence[KtsSchedule] | None = None) -> list[Trajectory]:
-    """Integrate ``m`` trajectories from i.i.d. 2-D standard-normal starts.
+                 schedules: Sequence[KtsSchedule] | None = None) -> Trajectory:
+    """Integrate ``m`` trajectories from i.i.d. 2-D standard-normal starts
+    into one m-row record.
 
     Initial states come from per-trajectory child streams of ``cfg.seed``
     (stream i = SeedSequence(seed).spawn(m)[i]), so results do not depend on
@@ -200,9 +212,10 @@ def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
     With ``schedules`` (s_0, ..., s_{C-1}) the m starts are integrated once
     under each shaped field eta_c(t) * field(x, t), all C*m rows in the same
     field calls: steps x stages calls whatever C*m is.  The result holds C
-    blocks of m trajectories in schedule order; trajectory c*m + i (its id in
-    ``failures`` too) is start i under schedule c.  ``tau_split`` splits the
-    energy of every row, whatever the schedules' own splits.
+    blocks of m rows in schedule order, block c being ``batch[c*m:(c+1)*m]``;
+    row c*m + i (its id in ``failures`` too) is start i under schedule c.
+    ``tau_split`` splits the energy of every row, whatever the schedules' own
+    splits.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -210,34 +223,32 @@ def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
         raise ValueError("schedules must hold at least one KtsSchedule")
     x0 = np.stack([np.random.default_rng(ss).standard_normal(2)
                    for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
-    trajs, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta, schedules)
+    batch, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta, schedules)
     if failures:
         err = IntegrationDiverged(failures[0][1], failures[0][0])
         err.failures = [(i, IntegrationDiverged(step, i)) for i, step in failures]
         raise err
-    return trajs
+    return batch
 
 
-def save_traces(trajectories: Sequence[Trajectory], path) -> None:
-    """Write per-grid-point rows ``traj_id,t,x,y,power,cum_kpe``.
+def save_traces(batch: Trajectory, path) -> None:
+    """Write per-grid-point rows ``traj_id,t,x,y,power,cum_kpe`` of a batch.
 
-    Row j of a trajectory holds the state at grid point j; its power column is
+    Row j of path i holds its state at grid point j; its power column is
     the power of the step that produced it (0 for the initial row), and
     cum_kpe is the energy accumulated up to that grid point.  Floats are
     written as their shortest round-trip ``repr`` and rows end in ``\\r\\n``,
     as ``csv.writer`` writes them.
     """
-    ids, cols = [], []
-    for tid, traj in enumerate(trajectories):
-        ids += [tid] * len(traj.times)
-        cols.append(np.column_stack([traj.times, traj.states[:, 0], traj.states[:, 1],
-                                     np.concatenate([[0.0], traj.power]),
-                                     traj.cum_kpe()]))
-    table = np.concatenate(cols).tolist() if cols else []
+    m, points = batch.states.shape[:2]
+    table = np.column_stack([
+        np.repeat(np.arange(m), points), np.tile(batch.times, m),
+        batch.states[..., 0].ravel(), batch.states[..., 1].ravel(),
+        np.insert(batch.power, 0, 0.0, axis=1).ravel(), batch.cum_kpe().ravel()]).tolist()
     row = "%d,%r,%r,%r,%r,%r\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\r\n"
-                 + "".join([row % (tid, *vals) for tid, vals in zip(ids, table)]))
+                 + "".join([row % tuple(vals) for vals in table]))
 
 
 def load_traces(path) -> list[dict]:
@@ -260,15 +271,10 @@ def load_traces(path) -> list[dict]:
             for tid, arr in zip(ids, np.split(table, starts[1:]))]
 
 
-def batch_summary(trajectories: Sequence[Trajectory]) -> dict:
+def batch_summary(batch: Trajectory) -> dict:
     """JSON-ready summary: per-trajectory energies and endpoints plus metadata."""
-    per_traj = [{
-        "id": i,
-        "kpe": traj.kpe,
-        "kpe_early": traj.kpe_early,
-        "kpe_late": traj.kpe_late,
-        "endpoint": [float(c) for c in traj.endpoint],
-    } for i, traj in enumerate(trajectories)]
-    meta = dict(trajectories[0].meta) if trajectories else {}
-    meta["tau_split"] = trajectories[0].tau_split if trajectories else None
-    return {"trajectories": per_traj, "solver": meta}
+    per_traj = [{"id": i, "kpe": kpe, "kpe_early": ke, "kpe_late": kl, "endpoint": end}
+                for i, (kpe, ke, kl, end) in enumerate(zip(
+                    batch.kpe.tolist(), batch.kpe_early.tolist(), batch.kpe_late.tolist(),
+                    batch.endpoint.tolist()))]
+    return {"trajectories": per_traj, "solver": {**batch.meta, "tau_split": batch.tau_split}}

@@ -145,10 +145,8 @@ def test_multiscale_exact_field_matches_efm():
 def _euler_kpe_report(field_fn, data):
     cfg = kf.SolverConfig(method="euler", steps=CI_STEPS, delta_cut=0.0,
                           seed=SOLVER_SEED)
-    trajs = kf.sample_batch(field_fn, CI_M, cfg)
-    endpoints = np.array([t.endpoint for t in trajs])
-    report = kf.kpe_density_report([t.kpe for t in trajs], endpoints, data)
-    return report, endpoints
+    batch = kf.sample_batch(field_fn, CI_M, cfg)
+    return kf.kpe_density_report(batch.kpe, batch.endpoint, data), batch.endpoint
 
 
 @pytest.mark.parametrize("kind", ["dense_sparse", "multiscale_clusters",
@@ -210,10 +208,10 @@ def test_criterion_2_efm_power_spikes(midpoint_runs):
     details = []
     for kind in DATA_SEEDS:
         _, vanilla, efm = midpoint_runs(kind)
-        van_peak = np.stack([t.power for t in vanilla]).mean(axis=0).max()
-        efm_mean = np.stack([t.power for t in efm]).mean(axis=0)
+        van_peak = vanilla.power.mean(axis=0).max()
+        efm_mean = efm.power.mean(axis=0)
         efm_peak = float(efm_mean.max())
-        peak_t = float(efm[0].times[:-1][int(efm_mean.argmax())])
+        peak_t = float(efm.times[:-1][int(efm_mean.argmax())])
         ok = efm_peak >= 1.3 * van_peak and peak_t > 0.5
         satisfied += ok
         details.append(f"{kind}: ratio={efm_peak / van_peak:.2f} peak_t={peak_t:.3f}")
@@ -226,8 +224,8 @@ def test_criterion_3_efm_memorization(midpoint_runs):
     """Closed-form endpoints replicate training atoms (F_mem >= 0.95) while
     the trained network stays at least 20 points lower."""
     data, vanilla, efm = midpoint_runs("dense_sparse")
-    efm_mem = kf.f_mem(np.array([t.endpoint for t in efm]), data.points).f_mem
-    van_mem = kf.f_mem(np.array([t.endpoint for t in vanilla]), data.points).f_mem
+    efm_mem = kf.f_mem(efm.endpoint, data.points).f_mem
+    van_mem = kf.f_mem(vanilla.endpoint, data.points).f_mem
     ok = efm_mem >= 0.95 and van_mem <= efm_mem - 0.20
     detail = f"efm={efm_mem:.3f} vanilla={van_mem:.3f}"
     _line("3", ok, detail)
@@ -243,18 +241,17 @@ def test_criterion_4_kts_directions(ci_models):
                           seed=SOLVER_SEED)
     grid = [0.0, 0.01, 0.02]
     cells = [(a0, b0) for a0 in grid for b0 in grid]
-    trajs = kf.sample_batch(kf.NeuralVelocityField(params), CI_M, cfg,
+    batch = kf.sample_batch(kf.NeuralVelocityField(params), CI_M, cfg,
                             schedules=[kf.KtsSchedule(alpha0=a0, beta0=b0)
                                        for a0, b0 in cells])
     early = {}
     late = {}
     fmem = {}
     for c, cell in enumerate(cells):
-        block = trajs[c * CI_M:(c + 1) * CI_M]
-        early[cell] = float(np.mean([t.kpe_early for t in block]))
-        late[cell] = float(np.mean([t.kpe_late for t in block]))
-        fmem[cell] = kf.f_mem(np.array([t.endpoint for t in block]),
-                              data.points).f_mem
+        block = batch[c * CI_M:(c + 1) * CI_M]
+        early[cell] = float(np.mean(block.kpe_early))
+        late[cell] = float(np.mean(block.kpe_late))
+        fmem[cell] = kf.f_mem(block.endpoint, data.points).f_mem
 
     early_ok = all(early[grid[i], b] <= early[grid[i + 1], b] + 1e-12
                    for b in grid for i in range(2))

@@ -1,8 +1,13 @@
-"""Run the demos that do not train, so that an API change cannot break them
-unnoticed.  Demos 02-04 each train a model for 2000 iterations and stay out."""
+"""Run every demo, so that an API change cannot break one unnoticed.  Demos
+02-04 train a model for 2000 iterations; here ``kf.train`` runs 200."""
 
 import os
 import runpy
+from dataclasses import replace
+
+import pytest
+
+import kinflow as kf
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -19,6 +24,25 @@ def test_density_stratified_data(tmp_path, monkeypatch, capsys):
     for kind in ("dense_sparse", "multiscale_clusters", "sandwich"):
         assert (tmp_path / "demo_out" / f"{kind}.csv").exists()
         assert (tmp_path / "demo_out" / f"{kind}.svg").exists()
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("02_train_and_sample.py", ["sampled 200 trajectories, mean energy ",
+                                "energy of sparse-stratum endpoints: ",
+                                "rank correlation with log KDE density: "]),
+    ("03_closed_form_memorization.py", ["neural       f_mem=", "closed-form  f_mem=",
+                                        "peak power ratio (closed-form / neural): "]),
+    ("04_trajectory_shaping.py", [" alpha0   beta0  kpe_early  kpe_late  f_mem\n   0.00    0.00 ",
+                                  "\n   0.01    0.00 ", "\n   0.02    0.00 ", "\n   0.00    0.01 ",
+                                  "\n   0.00    0.02 ", "\n   0.01    0.01 "]),
+])
+def test_training_demo(name, lines, monkeypatch, capsys):
+    train = kf.train
+    monkeypatch.setattr(kf, "train",
+                        lambda points, cfg: train(points, replace(cfg, iterations=200)))
+    run_demo(name)
+    out = capsys.readouterr().out
+    assert all(out.count(line) == 1 for line in lines), out
 
 
 def test_theory_checks(capsys):

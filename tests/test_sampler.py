@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from kinflow.efm import EfmField
 from kinflow.net import NeuralVelocityField, init_params
 from kinflow.sampler import (TRACE_HEADER, IntegrationDiverged, KtsSchedule,
-                             SolverConfig, batch_summary, integrate, kts_eta,
-                             load_traces, sample_batch, save_traces)
+                             SolverConfig, Trajectory, batch_summary, integrate,
+                             kts_eta, load_traces, sample_batch, save_traces)
 
 
 def constant_field(v):
@@ -30,11 +30,13 @@ def gained(field_fn, s):
 
 GRID = (0.0, 0.01, 0.02)
 SWEEP = [KtsSchedule()] + [KtsSchedule(alpha0=a, beta0=b) for a in GRID for b in GRID]
+RECORD = ("states", "velocities", "power", "kpe_early", "kpe_late", "kpe")
 
 
 def loop_reference(field_fn, m, cfg, tau_split=0.6):
     """Per-trajectory integration with single-row field calls, written out
-    apart from the sampler: (states, kpe, kpe_early) per trajectory."""
+    apart from the sampler, stacked into an m-row record.  Each energy is
+    summed step by step in time order."""
     def single(x, t):
         return np.asarray(field_fn(x[None, :], t), dtype=float)[0]
 
@@ -42,22 +44,28 @@ def loop_reference(field_fn, m, cfg, tau_split=0.6):
     dt = horizon / cfg.steps
     times = np.linspace(0.0, horizon, cfg.steps + 1)
     early = times[:-1] < tau_split
-    out = []
+    paths = []
     for ss in np.random.SeedSequence(cfg.seed).spawn(m):
         x = np.random.default_rng(ss).standard_normal(2)
-        states, power = [x], []
+        states, vels, power = [x], [], []
         for t in times[:-1]:
             v = single(x, t)
             if cfg.method == "midpoint":
                 v = single(x + 0.5 * dt * v, t + 0.5 * dt)
             x = x + dt * v
             states.append(x)
-            power.append(v @ v)
+            vels.append(v)
+            power.append((v * v).sum())
         power = np.array(power)
-        kpe_early = 0.5 * power[early].sum() * dt
-        out.append((np.array(states), kpe_early + 0.5 * power[~early].sum() * dt,
-                    kpe_early))
-    return out
+        paths.append((states, vels, power, 0.5 * sum(power[early]) * dt,
+                      0.5 * sum(power[~early]) * dt))
+    states, vels, power, kpe_early, kpe_late = (np.array(col) for col in zip(*paths))
+    return Trajectory(times, states, vels, power, kpe_early, kpe_late, tau_split)
+
+
+def assert_records_equal(got, want):
+    for name in RECORD:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestKtsGain:
@@ -122,26 +130,24 @@ class TestShapedField:
             trajs = sample_batch(constant_field([0.3, -0.7]), 3, cfg,
                                  schedules=(KtsSchedule(), KtsSchedule(k=1.0, tau_split=0.3)))
             assert len(trajs) == 6
-            for traj in trajs:
-                assert np.array_equal(traj.velocities, np.tile([0.3, -0.7], (10, 1)))
+            assert np.array_equal(trajs.velocities, np.tile([0.3, -0.7], (6, 10, 1)))
 
     def test_scales_norm_pointwise(self):
         s = KtsSchedule(alpha0=0.2, beta0=0.05)
-        trajs = sample_batch(decay_field, 4, SolverConfig(steps=20, seed=0),
+        batch = sample_batch(decay_field, 4, SolverConfig(steps=20, seed=0),
                              schedules=(s,))
-        for traj in trajs:
-            for t, x, v in zip(traj.times, traj.states, traj.velocities):
-                assert np.linalg.norm(v) == pytest.approx(
-                    kts_eta(s, t) * np.linalg.norm(decay_field(x, t)), rel=1e-15)
+        eta = np.array([kts_eta(s, t) for t in batch.times[:-1]])
+        base = decay_field(batch.states[:, :-1], None)
+        np.testing.assert_allclose(np.linalg.norm(batch.velocities, axis=2),
+                                   eta * np.linalg.norm(base, axis=2), rtol=1e-15, atol=1e-12)
 
     def test_zero_base_stays_zero(self):
-        trajs = sample_batch(constant_field([0.0, 0.0]), 2,
+        batch = sample_batch(constant_field([0.0, 0.0]), 2,
                              SolverConfig(method="midpoint", steps=8, seed=2),
                              schedules=(KtsSchedule(alpha0=0.5, beta0=0.3),))
-        for traj in trajs:
-            assert np.array_equal(traj.velocities, np.zeros((8, 2)))
-            assert np.array_equal(traj.states[-1], traj.states[0])
-            assert traj.kpe == 0.0
+        assert np.array_equal(batch.velocities, np.zeros((2, 8, 2)))
+        assert np.array_equal(batch.endpoint, batch.states[:, 0])
+        assert np.array_equal(batch.kpe, np.zeros(2))
 
 
 class TestIntegrate:
@@ -231,34 +237,31 @@ class TestIntegrate:
 class TestSampleBatch:
     def test_deterministic(self):
         cfg = SolverConfig(steps=20, seed=9)
-        a = sample_batch(decay_field, 5, cfg)
-        b = sample_batch(decay_field, 5, cfg)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.states, tb.states)
+        assert_records_equal(sample_batch(decay_field, 5, cfg),
+                             sample_batch(decay_field, 5, cfg))
 
     def test_m1_matches_integrate_on_first_substream(self):
-        cfg = SolverConfig(steps=20, seed=11)
+        cfg = SolverConfig(method="midpoint", steps=20, seed=11)
         batch = sample_batch(decay_field, 1, cfg)
         ss = np.random.SeedSequence(11).spawn(1)[0]
         x0 = np.random.default_rng(ss).standard_normal(2)
         solo = integrate(decay_field, x0, cfg)
-        assert np.array_equal(batch[0].states, solo.states)
+        # an integer index drops the row axis: one path, what integrate returns
+        assert solo.states.shape == (21, 2) and np.ndim(solo.kpe) == 0
+        assert_records_equal(batch[0], solo)
 
     def test_substreams_differ(self):
         cfg = SolverConfig(steps=5, seed=0)
         batch = sample_batch(decay_field, 4, cfg)
-        starts = np.array([t.states[0] for t in batch])
-        assert len(np.unique(starts.round(12), axis=0)) == 4
+        assert len(np.unique(batch.states[:, 0].round(12), axis=0)) == 4
 
     def test_zero_gain_shaping_is_bit_identical(self):
-        cfg = SolverConfig(steps=30, seed=3)
+        cfg, damped = SolverConfig(steps=30, seed=3), KtsSchedule(beta0=0.02)
         plain = sample_batch(decay_field, 3, cfg)
-        shaped = sample_batch(decay_field, 3, cfg,
-                              schedules=(KtsSchedule(), KtsSchedule(beta0=0.02)))
-        for ta, tb in zip(plain, shaped[:3]):
-            assert np.array_equal(ta.states, tb.states)
-            assert np.array_equal(ta.velocities, tb.velocities)
-            assert ta.kpe == tb.kpe
+        shaped = sample_batch(decay_field, 3, cfg, schedules=(KtsSchedule(), damped))
+        # each schedule block is its schedule run alone; the identity's is unshaped
+        assert_records_equal(shaped[:3], plain)
+        assert_records_equal(shaped[3:], sample_batch(decay_field, 3, cfg, schedules=(damped,)))
 
     def test_collects_failures(self):
         def explode(x, t):
@@ -276,7 +279,7 @@ class TestSampleBatch:
 
     def test_partial_divergence_leaves_other_rows_alone(self):
         cfg = SolverConfig(steps=10, seed=4)
-        solo = [states for states, _, _ in loop_reference(decay_field, 5, cfg)]
+        solo = loop_reference(decay_field, 5, cfg).states
         blow_at = {1: 2, 3: 5}           # row -> step at which it diverges
         seen = []
 
@@ -342,8 +345,7 @@ class TestSampleBatch:
         cfg = SolverConfig(steps=10, seed=4)
         schedules = (KtsSchedule(), KtsSchedule(alpha0=0.5), KtsSchedule(beta0=0.1))
         m, c, i, step = 4, 1, 2, 3
-        solo = [[states for states, _, _ in loop_reference(gained(decay_field, s), m, cfg)]
-                for s in schedules]
+        solo = [loop_reference(gained(decay_field, s), m, cfg).states for s in schedules]
         seen = []
 
         def field(x, t):
@@ -368,23 +370,29 @@ class TestSampleBatch:
 
 
 class TestBatchMatchesLoop:
-    """The batched core against per-trajectory integration with B=1 calls."""
+    """The batched core against per-trajectory integration with B=1 calls.
+
+    Every row of the record equals the loop bitwise for the closed-form field,
+    whose rows do not depend on which rows share a call.  The MLP's matrix
+    products round one row differently from a block of rows, so neural rows
+    agree to 1e-12."""
 
     @staticmethod
-    def assert_matches(field_fn, m, cfg, schedules=None):
-        trajs = sample_batch(field_fn, m, cfg, schedules=schedules)
+    def assert_matches(field_fn, m, cfg, schedules=None, tol=0.0):
+        batch = sample_batch(field_fn, m, cfg, schedules=schedules)
         fields = [field_fn] if schedules is None else \
             [gained(field_fn, s) for s in schedules]
-        want = [ref for f in fields for ref in loop_reference(f, m, cfg)]
-        assert len(trajs) == len(want)
-        for traj, (states, kpe, kpe_early) in zip(trajs, want):
-            np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=1e-12)
-            assert traj.kpe == pytest.approx(kpe, rel=1e-12)
-            assert traj.kpe_early == pytest.approx(kpe_early, rel=1e-12, abs=1e-300)
+        refs = [loop_reference(f, m, cfg) for f in fields]
+        assert len(batch) == len(fields) * m
+        for name in RECORD:
+            want = np.concatenate([getattr(ref, name) for ref in refs])
+            np.testing.assert_allclose(getattr(batch, name), want, rtol=tol, atol=tol,
+                                       err_msg=name)
 
     def test_neural_euler(self):
         field_fn = NeuralVelocityField(init_params(3))
-        self.assert_matches(field_fn, 16, SolverConfig(method="euler", steps=50, seed=8))
+        self.assert_matches(field_fn, 16, SolverConfig(method="euler", steps=50, seed=8),
+                            tol=1e-12)
 
     def test_efm_top_k_midpoint(self):
         atoms = np.random.default_rng(6).standard_normal((300, 2))
@@ -395,7 +403,7 @@ class TestBatchMatchesLoop:
     def test_neural_euler_schedules(self):
         field_fn = NeuralVelocityField(init_params(3))
         cfg = SolverConfig(method="euler", steps=50, seed=8)
-        self.assert_matches(field_fn, 8, cfg, SWEEP)
+        self.assert_matches(field_fn, 8, cfg, SWEEP, tol=1e-12)
 
     def test_efm_top_k_midpoint_schedules(self):
         atoms = np.random.default_rng(6).standard_normal((300, 2))
@@ -495,7 +503,7 @@ class TestTraceIO:
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "traces.csv"
-        save_traces([], path)
+        save_traces(sample_batch(decay_field, 2, SolverConfig(steps=3))[:0], path)
         assert path.read_bytes() == b"traj_id,t,x,y,power,cum_kpe\r\n"
         assert load_traces(path) == []
 

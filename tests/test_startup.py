@@ -28,7 +28,7 @@ steps = {
                   "--out", path("data.csv")],
                  ["gen-data", "--kind", "dense_sparse", "--n", "40", "--seed", "8",
                   "--out", path("heldout.csv")]],
-    "sample": [["sample", "--efm", path("data.csv"), "--neighbors", "0", "--solver",
+    "sample": [["sample", "--efm", path("data.csv"), "--solver",
                 "euler", "--steps", "20", "--m", "40", "--seed", "5",
                 "--out", path("traces")]],
     "plot": [["plot", "--traces", path("traces/traces.csv"), "--data", path("data.csv"),
