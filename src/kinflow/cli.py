@@ -668,12 +668,15 @@ def _cmd_verify_theory(args) -> int:
 def _cmd_kts_sweep(args) -> int:
     alpha_grid = _split_values("--alpha0-grid", args.alpha0_grid, float)
     beta_grid = _split_values("--beta0-grid", args.beta0_grid, float)
-    params = net.load_checkpoint(args.model)
-    data = datasets.load_csv(args.data)
-    heldout = datasets.load_csv(args.heldout).points
     cfg = ExperimentConfig(
         solver=SolverStageConfig(method=args.solver, steps=args.steps,
                                  m=args.m, seed=args.seed))
+    heldout = datasets.load_csv(args.heldout).points
+    if args.m > len(heldout):
+        raise ValueError(f"--m {args.m} exceeds the {len(heldout)} points of "
+                         f"--heldout {args.heldout}")
+    params = net.load_checkpoint(args.model)
+    data = datasets.load_csv(args.data)
     rows = kts_sweep(params, data, heldout, cfg, alpha_grid, beta_grid)
     with open(args.out, "w") as fh:
         fh.write("alpha0,beta0,w2,f_mem,kpe_early,kpe_late\n")

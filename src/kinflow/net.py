@@ -47,11 +47,19 @@ def time_encoding(t):
         raise ValueError("t must be finite")
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError("t must lie in [0, 1]")
-    phase = t_arr[..., None] * _OMEGAS
-    enc = np.empty(phase.shape[:-1] + (TIME_ENC_DIM,))
-    enc[..., 0::2] = np.sin(phase)
-    enc[..., 1::2] = np.cos(phase)
-    return enc
+    rows = t_arr.reshape(-1)
+    enc = np.empty((len(rows), TIME_ENC_DIM))
+    half = (len(rows), TIME_ENC_DIM // 2)
+    _encode_time(rows, enc, np.empty(half), np.empty(half))
+    return enc.reshape(t_arr.shape + (TIME_ENC_DIM,))
+
+
+def _encode_time(t: np.ndarray, enc: np.ndarray, phase: np.ndarray, trig: np.ndarray) -> None:
+    """Write the encoding of the (B,) times ``t`` into ``enc`` (B, 16), with
+    (B, 8) scratch ``phase`` and ``trig``; ``t`` is not checked."""
+    np.multiply(t[:, None], _OMEGAS, out=phase)
+    enc[:, 0::2] = np.sin(phase, out=trig)
+    enc[:, 1::2] = np.cos(phase, out=trig)
 
 
 @dataclass
@@ -70,9 +78,6 @@ class MlpParams:
         for w, b in zip(self.weights, self.biases):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters must be finite")
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def zeros_like(self) -> "MlpParams":
         return MlpParams([np.zeros_like(w) for w in self.weights],
@@ -97,45 +102,78 @@ def zero_params() -> MlpParams:
     )
 
 
-def _silu(x):
+def _silu(x: np.ndarray, sig: np.ndarray, act: np.ndarray):
+    """SiLU of ``x`` into ``act`` and its sigmoid into ``sig``; returns (act, sig)."""
     # exp(-x) overflows to inf for x below about -709, where the sigmoid's
     # limit 1 / (1 + inf) = 0 is exact
+    np.negative(x, out=sig)
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
-    return x * s, s
+        np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    np.divide(1.0, sig, out=sig)
+    return np.multiply(x, sig, out=act), sig
 
 
-def _forward_cached(params: MlpParams, inputs: np.ndarray):
-    """Forward pass on pre-built inputs (B, 18); returns output and layer caches."""
+def _layer_buffers(rows: int):
+    """The (rows, width) arrays of one forward pass that a backward pass
+    reads: every layer's pre-activation, and each hidden layer's sigmoid
+    and activation."""
+    return ([np.empty((rows, w)) for w in LAYER_DIMS[1:]],
+            [np.empty((rows, w)) for w in HIDDEN_DIMS],
+            [np.empty((rows, w)) for w in HIDDEN_DIMS])
+
+
+def _inference_buffers(rows: int):
+    """``_layer_buffers`` for a forward pass that no backward pass reads,
+    in one array of three rows: each activation overwrites its
+    pre-activation, the pre-activations alternate between the first two
+    rows so that no product writes into its own input, and the sigmoids
+    share the third."""
+    flat = np.empty((3, rows * max(HIDDEN_DIMS)))
+    pre = [flat[i % 2, :rows * w].reshape(rows, w) for i, w in enumerate(HIDDEN_DIMS)]
+    sig = [flat[2, :rows * w].reshape(rows, w) for w in HIDDEN_DIMS]
+    # the output gets its own array, so that it does not hold on to ``flat``
+    return pre + [np.empty((rows, STATE_DIM))], sig, pre
+
+
+def _forward(params: MlpParams, inputs: np.ndarray, cache) -> np.ndarray:
+    """Forward pass on pre-built inputs (B, 18) into ``cache``, the buffers
+    of ``_layer_buffers(B)`` or ``_inference_buffers(B)``; returns the
+    output, the last pre-activation."""
+    pre, sig, act = cache
     h = inputs
-    cache = []
-    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = h @ w + b
-        if i < last:
-            act, sig = _silu(pre)
-        else:
-            act, sig = pre, None
-        cache.append((h, pre, sig))
-        h = act
-    return h, cache
+        np.matmul(h, w, out=pre[i])
+        np.add(pre[i], b, out=pre[i])
+        if i < len(act):
+            h, _ = _silu(pre[i], sig[i], act[i])
+    return pre[-1]
 
 
-def _backward(params: MlpParams, cache, d_out: np.ndarray) -> MlpParams:
-    """Reverse-mode accumulation of d(loss)/d(params) given d(loss)/d(output)."""
-    grads = params.zeros_like()
+def _backward(params: MlpParams, inputs: np.ndarray, cache, d_out: np.ndarray,
+              grads: MlpParams) -> None:
+    """Reverse-mode accumulation of d(loss)/d(params) into ``grads``, given
+    d(loss)/d(output) ``d_out``.
+
+    Consumes the forward ``cache``: once a layer's input has served its
+    weight gradient, the SiLU derivative of the layer below is written over
+    that activation and the delta of the layer below over its pre-activation.
+    """
+    pre, sig, act = cache
     delta = d_out
-    last = len(params.weights) - 1
-    for i in range(last, -1, -1):
-        h, pre, sig = cache[i]
-        if i < last:
+    for i in range(len(params.weights) - 1, -1, -1):
+        h = act[i - 1] if i else inputs
+        np.matmul(h.T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
+        if i:
             # d silu(x)/dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-            delta = delta * (sig * (1.0 + pre * (1.0 - sig)))
-        grads.weights[i] = h.T @ delta
-        grads.biases[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ params.weights[i].T
-    return grads
+            x, s, dsilu = pre[i - 1], sig[i - 1], act[i - 1]
+            np.subtract(1.0, s, out=dsilu)
+            np.multiply(x, dsilu, out=dsilu)
+            np.add(1.0, dsilu, out=dsilu)
+            np.multiply(s, dsilu, out=dsilu)
+            np.matmul(delta, params.weights[i].T, out=x)
+            delta = np.multiply(x, dsilu, out=x)
 
 
 def _build_inputs(states: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -153,13 +191,17 @@ def forward(params: MlpParams, z, t) -> np.ndarray:
     single = z_arr.ndim == 1
     states = z_arr[None, :] if single else z_arr
     ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(states),))
-    out, _ = _forward_cached(params, _build_inputs(states, ts))
+    out = _forward(params, _build_inputs(states, ts), _inference_buffers(len(states)))
     return out[0] if single else out
 
 
 @dataclass(frozen=True)
 class NeuralVelocityField:
-    """Velocity-field view of trained parameters: field(x, t) -> velocity."""
+    """Velocity-field view of trained parameters: field(x, t) -> velocity.
+
+    A one-row call takes the matrix-vector BLAS path, so it can round
+    differently from the same row inside a call of two or more rows.
+    """
 
     params: MlpParams
 
@@ -167,30 +209,70 @@ class NeuralVelocityField:
         return forward(self.params, x, t)
 
 
+class _Workspace:
+    """Every array that one training step of ``batch`` rows writes.
+
+    The sampled batch and its input block, the forward cache (which the
+    backward pass overwrites with its deltas), the gradients, and AdamW's
+    scratch: two arrays per tensor, shaped like it, viewed into two flat
+    buffers the size of the largest tensor.  AdamW runs after the backward
+    pass, so from 256 rows up those are the two (batch, 256) sigmoids.
+    """
+
+    def __init__(self, batch: int):
+        self.t, self.one_minus_t, self.row_loss = (np.empty(batch) for _ in range(3))
+        self.eps, self.z, self.target, self.sq = (np.empty((batch, STATE_DIM))
+                                                  for _ in range(4))
+        self.phase, self.trig = (np.empty((batch, TIME_ENC_DIM // 2)) for _ in range(2))
+        self.inputs = np.empty((batch, LAYER_DIMS[0]))
+        self.cache = _layer_buffers(batch)
+        self.grads = zero_params()
+        tensors = self.grads.weights + self.grads.biases
+        largest = max(g.size for g in tensors)
+        sig = self.cache[1]
+        flat = ([s.reshape(-1) for s in sig[1:3]] if sig[1].size >= largest
+                else np.empty((2, largest)))
+        self.adamw = [(flat[0][:g.size].reshape(g.shape), flat[1][:g.size].reshape(g.shape))
+                      for g in tensors]
+
+
 def cfm_loss_grad(params: MlpParams, points: np.ndarray, batch: int,
-                  rng: np.random.Generator) -> tuple[float, MlpParams]:
+                  rng: np.random.Generator,
+                  out: _Workspace | None = None) -> tuple[float, MlpParams]:
     """One stochastic estimate of the bridge regression loss and its gradients.
 
     Draw order per call: batch indices, then t, then noise.  The loss is the
-    batch mean of ||v(x_t, t) - (z - eps)||^2.
+    batch mean of ||v(x_t, t) - (z - eps)||^2.  Every array is written into
+    ``out``, a ``_Workspace(batch)``, or into a fresh one; the gradients
+    returned are its own, overwritten by its next step.
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise ValueError("dataset must be non-empty")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    ws = _Workspace(batch) if out is None else out
     idx = rng.integers(0, len(points), batch)
-    t = rng.random(batch) * (1.0 - T_EPS)
-    eps = rng.standard_normal((batch, STATE_DIM))
-    z = points[idx]
-    x_t = t[:, None] * z + (1.0 - t[:, None]) * eps
-    target = z - eps
+    t = rng.random(out=ws.t)
+    t *= 1.0 - T_EPS
+    eps = rng.standard_normal(out=ws.eps)
+    # the indices are in range, and mode="raise" would buffer the copy
+    z = np.take(points, idx, axis=0, out=ws.z, mode="clip")
+    # x_t = t z + (1 - t) eps, into the input block's state columns
+    x_t = ws.inputs[:, :STATE_DIM]
+    np.multiply(t[:, None], z, out=x_t)
+    np.subtract(1.0, t, out=ws.one_minus_t)
+    np.add(x_t, np.multiply(ws.one_minus_t[:, None], eps, out=ws.target), out=x_t)
+    target = np.subtract(z, eps, out=ws.target)
+    _encode_time(t, ws.inputs[:, STATE_DIM:], ws.phase, ws.trig)
 
-    out, cache = _forward_cached(params, _build_inputs(x_t, t))
-    resid = out - target
-    loss = float((resid ** 2).sum(axis=1).mean())
-    grads = _backward(params, cache, 2.0 * resid / batch)
-    return loss, grads
+    resid = _forward(params, ws.inputs, ws.cache)
+    np.subtract(resid, target, out=resid)
+    loss = float(np.sum(np.square(resid, out=ws.sq), axis=1, out=ws.row_loss).mean())
+    np.multiply(2.0, resid, out=resid)
+    np.divide(resid, batch, out=resid)
+    _backward(params, ws.inputs, ws.cache, resid, ws.grads)
+    return loss, ws.grads
 
 
 @dataclass(frozen=True)
@@ -202,10 +284,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning rate and weight decay must be >= 0")
-        if self.batch_size < 1 or self.iterations < 0:
-            raise ValueError("batch size and iterations must be positive")
+        for name, least in (("learning_rate", 0), ("weight_decay", 0),
+                            ("batch_size", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if not value >= least:          # NaN fails this too
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -227,22 +310,26 @@ class AdamWState:
     def for_params(cls, params: MlpParams) -> "AdamWState":
         return cls(m=params.zeros_like(), v=params.zeros_like())
 
-    def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float) -> None:
+    def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float,
+               scratch) -> None:
+        """One step on ``params``, in place, with a workspace's ``adamw``
+        pairs of scratch arrays."""
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
-        for group in ("weights", "biases"):
-            ps = getattr(params, group)
-            gs = getattr(grads, group)
-            ms = getattr(self.m, group)
-            vs = getattr(self.v, group)
-            for p, g, m, v in zip(ps, gs, ms, vs):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                p -= wd * p
+        for p, g, m, v, (a, b) in zip(params.weights + params.biases,
+                                      grads.weights + grads.biases,
+                                      self.m.weights + self.m.biases,
+                                      self.v.weights + self.v.biases, scratch):
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p -= np.divide(a, b, out=a)
+            p -= np.multiply(wd, p, out=a)
 
 
 @dataclass
@@ -254,15 +341,18 @@ class TrainResult:
 def save_checkpoint(params: MlpParams, path) -> None:
     """Write a JSON container: one entry per tensor with name, shape, and
     row-major float64 payload (lossless shortest round-trip decimals)."""
-    entries = []
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        entries.append({"name": f"w{i}", "shape": list(w.shape), "data": w.ravel().tolist()})
-        entries.append({"name": f"b{i}", "shape": list(b.shape), "data": b.ravel().tolist()})
-    # one json.dumps runs the C encoder; json.dump streams through the
-    # pure-Python one and writes the same bytes about 1.7x slower
+    # one json.dumps per tensor runs the C encoder (json.dump streams through
+    # the pure-Python one, about 1.7x slower) and holds one tensor's text at a
+    # time; the pieces are the bytes of one json.dumps of the whole container
+    head = json.dumps({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
+                       "tensors": []})
     with open(path, "w") as fh:
-        fh.write(json.dumps({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
-                             "tensors": entries}))
+        fh.write(head[:-len("]}")])
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            for name, a in ((f"w{i}", w), (f"b{i}", b)):
+                fh.write((", " if name != "w0" else "") + json.dumps(
+                    {"name": name, "shape": list(a.shape), "data": a.ravel().tolist()}))
+        fh.write("]}")
 
 
 def load_checkpoint(path) -> MlpParams:
@@ -287,10 +377,11 @@ def train(points: np.ndarray, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(batch_ss)
     opt = AdamWState.for_params(params)
     losses = np.empty(cfg.iterations)
+    ws = _Workspace(cfg.batch_size)
     for i in range(cfg.iterations):
-        loss, grads = cfm_loss_grad(params, points, cfg.batch_size, rng)
+        loss, grads = cfm_loss_grad(params, points, cfg.batch_size, rng, out=ws)
         if not np.isfinite(loss):
             raise TrainingDiverged(i)
         losses[i] = loss
-        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay)
+        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay, ws.adamw)
     return TrainResult(params, losses)

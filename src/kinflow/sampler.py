@@ -180,6 +180,9 @@ def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
 
     power = (velocities ** 2).sum(axis=2)
     early = times[:-1] < tau_split
+    # the boolean-indexed copy is not C-contiguous, so numpy adds each row's
+    # steps in sequence, not pairwise; every KPE byte (summaries, traces,
+    # theory report) depends on that order, so per-step widths must keep it
     kpe_early = 0.5 * power[:, early].sum(axis=1) * dt
     kpe_late = 0.5 * power[:, ~early].sum(axis=1) * dt
     info = {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut,

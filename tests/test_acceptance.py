@@ -436,14 +436,15 @@ def test_criterion_9_training_gradients():
     target = z - eps
 
     inputs = net._build_inputs(x_t, t)
+    cache = net._layer_buffers(len(x_t))
 
     def loss_of():
-        out, _ = net._forward_cached(params, inputs)
+        out = net._forward(params, inputs, cache)
         return float(((out - target) ** 2).sum(axis=1).mean())
 
-    out, cache = net._forward_cached(params, inputs)
-    resid = out - target
-    grads = net._backward(params, cache, 2.0 * resid / len(x_t))
+    resid = net._forward(params, inputs, cache) - target
+    grads = net.zero_params()
+    net._backward(params, inputs, cache, 2.0 * resid / len(x_t), grads)
 
     h = 1e-5
     worst = 0.0

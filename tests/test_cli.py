@@ -271,6 +271,19 @@ class TestKtsSweepCommand:
         assert option in capsys.readouterr().err
         assert not out.exists()
 
+    def test_m_beyond_heldout_exits_2_before_reading_the_model(self, tiny_artifacts,
+                                                               tmp_path, capsys):
+        # W2 pairs the first m endpoints with the first m held-out points
+        out = tmp_path / "sweep.csv"
+        code = main(["kts-sweep", "--model", str(tmp_path / "missing.ckpt"),
+                     "--data", str(tiny_artifacts["data"]),
+                     "--heldout", str(tiny_artifacts["heldout"]),
+                     "--steps", "10", "--m", "20", "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "--m 20" in err and "--heldout" in err and "10 points" in err
+        assert not out.exists()
+
     def test_heldout_is_required(self, tiny_artifacts, tmp_path, capsys):
         # a held-out set generated from the solver seed could repeat the
         # training points, and a data CSV carries no seed to derive a safe one

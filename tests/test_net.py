@@ -1,6 +1,7 @@
 """Tests for the MLP velocity field, its gradients, and AdamW training."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,7 +56,7 @@ class TestForward:
     def test_silu_exact_limits_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            act, sig = net._silu(np.array([-1000.0, 1000.0]))
+            act, sig = net._silu(np.array([-1000.0, 1000.0]), np.empty(2), np.empty(2))
         assert np.array_equal(sig, [0.0, 1.0])
         assert np.array_equal(act, [0.0, 1000.0])
 
@@ -170,10 +171,12 @@ class TestLossAndGradients:
 
 def _loss_grad_fixed(params, x_t, t, target):
     """Loss/grads on a frozen batch (no RNG), for finite-difference checks."""
-    out, cache = net._forward_cached(params, net._build_inputs(x_t, t))
-    resid = out - target
+    inputs = net._build_inputs(x_t, t)
+    cache = net._layer_buffers(len(x_t))
+    resid = net._forward(params, inputs, cache) - target
     loss = float((resid ** 2).sum(axis=1).mean())
-    grads = net._backward(params, cache, 2.0 * resid / len(x_t))
+    grads = zero_params()
+    net._backward(params, inputs, cache, 2.0 * resid / len(x_t), grads)
     return loss, grads
 
 
@@ -232,10 +235,114 @@ class TestTraining:
         assert any("overflow encountered in matmul" in str(w.message) for w in seen)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+        # each message names the field and the value that failed
+        for name, bad, bound in (("learning_rate", -1.0, ">= 0"),
+                                 ("learning_rate", float("nan"), ">= 0"),
+                                 ("weight_decay", -0.5, ">= 0"),
+                                 ("batch_size", 0, ">= 1"), ("iterations", -1, ">= 0")):
+            with pytest.raises(ValueError) as err:
+                TrainConfig(**{name: bad})
+            assert str(err.value) == f"{name} must be {bound}, got {bad}"
+
+    def test_zero_iterations_returns_the_initial_parameters(self):
+        points = np.random.default_rng(16).standard_normal((20, 2))
+        result = train(points, TrainConfig(iterations=0, seed=3))
+        init_ss, _ = np.random.SeedSequence(3).spawn(2)
+        assert result.losses.shape == (0,)
+        for w1, w2 in zip(result.params.weights, init_params(init_ss).weights):
+            assert np.array_equal(w1, w2)
+
+    @pytest.mark.parametrize("batch", [1, 8, 256])
+    def test_bitwise_equal_to_allocating_loop(self, batch):
+        # batch 1 takes the matrix-vector BLAS path
+        points = np.random.default_rng(17).standard_normal((40, 2))
+        cfg = TrainConfig(iterations=30, batch_size=batch, weight_decay=1e-2, seed=5)
+        result = train(points, cfg)
+        ref_params, ref_losses = _allocating_train(points, cfg)
+        assert result.losses.tobytes() == ref_losses.tobytes()
+        for got, want in zip(result.params.weights + result.params.biases,
+                             ref_params.weights + ref_params.biases):
+            assert got.tobytes() == want.tobytes()
+
+    def test_step_allocates_less_than_one_activation(self):
+        # one batch-256 step writes into its workspace; a step that allocates
+        # its temporaries peaks at about 7.8 MB
+        points = np.random.default_rng(18).standard_normal((500, 2))
+        params = init_params(1)
+        opt = net.AdamWState.for_params(params)
+        ws = net._Workspace(256)
+        rng = np.random.default_rng(0)
+
+        def step():
+            _, grads = cfm_loss_grad(params, points, 256, rng, out=ws)
+            opt.update(params, grads, 3e-4, 1e-4, ws.adamw)
+
+        step()
+        step()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < np.empty((256, 128)).nbytes
+
+
+def _allocating_train(points, cfg):
+    """The trainer's formulas with a fresh array for every intermediate, in
+    the same operation order: sampling, forward, loss, backward, AdamW."""
+    init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    params = init_params(init_ss)
+    tensors = params.weights + params.biases
+    m = [np.zeros_like(p) for p in tensors]
+    v = [np.zeros_like(p) for p in tensors]
+    rng = np.random.default_rng(batch_ss)
+    n, last = cfg.batch_size, len(params.weights) - 1
+    losses = []
+    for step in range(1, cfg.iterations + 1):
+        idx = rng.integers(0, len(points), n)
+        t = rng.random(n) * (1.0 - net.T_EPS)
+        eps = rng.standard_normal((n, 2))
+        z = points[idx]
+        x_t = t[:, None] * z + (1.0 - t[:, None]) * eps
+        phase = t[:, None] * (np.pi * 2.0 ** np.arange(8))
+        enc = np.empty((n, 16))
+        enc[:, 0::2] = np.sin(phase)
+        enc[:, 1::2] = np.cos(phase)
+        h = np.concatenate([x_t, enc], axis=1)
+        cache = []
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            pre = h @ w + b
+            sig = 1.0 / (1.0 + np.exp(-pre)) if i < last else None
+            cache.append((h, pre, sig))
+            h = pre * sig if i < last else pre
+        resid = h - (z - eps)
+        losses.append(float((resid ** 2).sum(axis=1).mean()))
+        delta = 2.0 * resid / n
+        gw, gb = [None] * (last + 1), [None] * (last + 1)
+        for i in range(last, -1, -1):
+            h, pre, sig = cache[i]
+            if i < last:
+                delta = delta * (sig * (1.0 + pre * (1.0 - sig)))
+            gw[i] = h.T @ delta
+            gb[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ params.weights[i].T
+        bc1 = 1.0 - 0.9 ** step
+        bc2 = 1.0 - 0.999 ** step
+        for p, g, mp, vp in zip(tensors, gw + gb, m, v):
+            mp *= 0.9
+            mp += (1.0 - 0.9) * g
+            vp *= 0.999
+            vp += (1.0 - 0.999) * g * g
+            p -= cfg.learning_rate * (mp / bc1) / (np.sqrt(vp / bc2) + 1e-8)
+            p -= cfg.weight_decay * p
+    return params, np.array(losses)
 
 
 def _toy_two_blob(n):
