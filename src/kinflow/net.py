@@ -12,7 +12,12 @@ the network output at (x_t, t) onto the bridge velocity z - eps.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,11 @@ HIDDEN_DIMS = (128, 256, 256, 128)
 TIME_ENC_DIM = 16
 STATE_DIM = 2
 LAYER_DIMS = (STATE_DIM + TIME_ENC_DIM, *HIDDEN_DIMS, STATE_DIM)
+
+#: every tensor's checkpoint name and shape, in checkpoint order
+_TENSOR_SHAPES = {name: shape for i, (fan_in, fan_out) in enumerate(zip(LAYER_DIMS[:-1],
+                                                                       LAYER_DIMS[1:]))
+                  for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,)))}
 
 #: angular frequencies of the time encoding: 2^j * pi for j = 0..7
 _OMEGAS = np.pi * 2.0 ** np.arange(TIME_ENC_DIM // 2)
@@ -287,8 +297,8 @@ class TrainConfig:
         for name, least in (("learning_rate", 0), ("weight_decay", 0),
                             ("batch_size", 1), ("iterations", 0)):
             value = getattr(self, name)
-            if not value >= least:          # NaN fails this too
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if not least <= value < math.inf:     # NaN fails this too
+                raise ValueError(f"{name} must be finite and >= {least}, got {value}")
 
 
 @dataclass
@@ -339,32 +349,98 @@ class TrainResult:
 
 
 def save_checkpoint(params: MlpParams, path) -> None:
-    """Write a JSON container: one entry per tensor with name, shape, and
-    row-major float64 payload (lossless shortest round-trip decimals)."""
+    """Write ``path``, a JSON container: one entry per tensor with name,
+    shape, and row-major float64 payload (lossless shortest round-trip
+    decimals).  Next to it, ``path``.npz holds a binary copy: every tensor
+    under its JSON name, and ``sha256``, the digest of the JSON's bytes.
+
+    Each file is written under a temporary name and renamed into place, so
+    a save that fails leaves the previous files as they were."""
+    tensors = dict(zip(_TENSOR_SHAPES, (np.ascontiguousarray(a) for pair in
+                                        zip(params.weights, params.biases) for a in pair)))
+    digest = hashlib.sha256()
+    tmp, copy_tmp = f"{path}.tmp", f"{path}.npz.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for piece in _json_pieces(tensors):
+                data = piece.encode()
+                fh.write(data)
+                digest.update(data)
+        with open(copy_tmp, "wb") as fh:
+            np.savez(fh, sha256=np.frombuffer(digest.digest(), dtype=np.uint8), **tensors)
+        # the copy's digest names the JSON it was written with, so a copy
+        # left stale by a failure between the two renames is never read
+        os.replace(tmp, path)
+        os.replace(copy_tmp, f"{path}.npz")
+    except BaseException:
+        for name in (tmp, copy_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(name)
+        raise
+
+
+def _json_pieces(tensors: dict):
+    """The checkpoint JSON in pieces that join to the bytes of one
+    ``json.dumps`` of the whole container."""
     # one json.dumps per tensor runs the C encoder (json.dump streams through
     # the pure-Python one, about 1.7x slower) and holds one tensor's text at a
-    # time; the pieces are the bytes of one json.dumps of the whole container
+    # time
     head = json.dumps({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
                        "tensors": []})
-    with open(path, "w") as fh:
-        fh.write(head[:-len("]}")])
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            for name, a in ((f"w{i}", w), (f"b{i}", b)):
-                fh.write((", " if name != "w0" else "") + json.dumps(
-                    {"name": name, "shape": list(a.shape), "data": a.ravel().tolist()}))
-        fh.write("]}")
+    yield head[:-len("]}")]
+    for i, (name, a) in enumerate(tensors.items()):
+        yield (", " if i else "") + json.dumps(
+            {"name": name, "shape": list(a.shape), "data": a.ravel().tolist()})
+    yield "]}"
 
 
 def load_checkpoint(path) -> MlpParams:
-    with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("format") != "kinflow-mlp":
+    """The parameters of the JSON checkpoint ``path``: read from its binary
+    copy when that copy was written with these JSON bytes and holds every
+    tensor intact, parsed from the JSON otherwise.  Either way they are the
+    JSON's parameters, bit for bit; a read writes no file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    tensors = _read_copy(f"{path}.npz", hashlib.sha256(raw).digest())
+    if tensors is None:
+        tensors = _parse_json(raw, path)
+    arrays = [tensors[name] for name in _TENSOR_SHAPES]
+    return MlpParams(arrays[0::2], arrays[1::2])
+
+
+def _read_copy(path: str, digest: bytes) -> dict | None:
+    """The tensors of the binary copy ``path`` if it holds ``digest`` and a
+    float64 array of its layer shape under every tensor name; None if it is
+    missing, stale, truncated or malformed.  Nothing in it is unpickled."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if npz["sha256"].tobytes() != digest:
+                return None
+            tensors = {name: npz[name] for name in _TENSOR_SHAPES}
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
+        return None
+    if all(a.dtype == np.float64 and a.shape == _TENSOR_SHAPES[name]
+           for name, a in tensors.items()):
+        return tensors
+    return None
+
+
+def _parse_json(raw: bytes, path) -> dict:
+    """Every tensor of the checkpoint JSON ``raw``, by name; a ValueError
+    naming the first tensor that is missing or has another shape."""
+    blob = json.loads(raw)
+    if not isinstance(blob, dict) or blob.get("format") != "kinflow-mlp":
         raise ValueError(f"{path} is not a kinflow MLP checkpoint")
-    tensors = {e["name"]: np.array(e["data"], dtype=np.float64).reshape(e["shape"])
-               for e in blob["tensors"]}
-    n_layers = len(LAYER_DIMS) - 1
-    return MlpParams([tensors[f"w{i}"] for i in range(n_layers)],
-                     [tensors[f"b{i}"] for i in range(n_layers)])
+    entries = {e["name"]: e for e in blob.get("tensors", [])}
+    tensors = {}
+    for name, shape in _TENSOR_SHAPES.items():
+        if name not in entries:
+            raise ValueError(f"{path} has no tensor {name!r}")
+        if entries[name].get("shape") != list(shape):
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{entries[name].get('shape')}, expected {list(shape)}")
+        tensors[name] = np.array(entries[name]["data"], dtype=np.float64).reshape(shape)
+    return tensors
 
 
 def train(points: np.ndarray, cfg: TrainConfig) -> TrainResult:

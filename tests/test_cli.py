@@ -139,6 +139,17 @@ class TestSampleCommand:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_without_tensors_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        model.write_text('{"format": "kinflow-mlp", "tensors": []}')
+        out = tmp_path / "out"
+        code = main(["sample", "--model", str(model), "--steps", "2", "--m", "3",
+                     "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "'w0'" in err
+        assert not out.exists()
+
 
 class TestDiagnoseCommand:
     def test_report_schema(self, tiny_artifacts, tmp_path):

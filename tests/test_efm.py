@@ -171,6 +171,34 @@ class TestEfmVelocity:
         assert np.array_equal(mixture_score(f, zs[0], 0.4), mixture_score(m, zs[0], 0.4))
 
 
+def loop_sq_dists(atoms, x, tc):
+    """Squared bridge distances of one row by direct differences, summed
+    coordinate by coordinate."""
+    return sum((x[k] - tc * atoms[:, k]) ** 2 for k in range(atoms.shape[1]))
+
+
+#: the least gap, in ulps of the larger distance, between consecutive
+#: direct-difference distances among a row's K + 1 nearest atoms that a
+#: bitwise top-K comparison with ``loop_rows`` rests on.  A near-tie there
+#: can rank differently by direct differences than by the kernel's key: at
+#: the K-th place it changes the kept set, inside the kept set the order in
+#: which the softmax sums.  At t = 0 in 1, 2 and 5 dimensions, over seeds
+#: 1000-1399 of ``test_top_k_bitwise_equals_row_loop`` (865 200 rows), the
+#: 22 rows where the comparison failed had gaps of at most 1 ulp; the
+#: test's own seeds have gaps of at least 8.
+NEAR_TIE_ULPS = 4
+
+
+def assert_no_near_tie(atoms, xs, t, k):
+    """The premise of a bitwise top-K comparison: no row of ``xs`` has two
+    of its k + 1 nearest atoms within ``NEAR_TIE_ULPS`` of each other."""
+    tc = min(max(t, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
+    for i, x in enumerate(xs):
+        d2 = np.sort(loop_sq_dists(atoms, x, tc))[:k + 1]
+        gap = (np.diff(d2) / np.spacing(d2[1:])).min()
+        assert gap > NEAR_TIE_ULPS, f"row {i}: a near-tie {gap:g} ulps apart"
+
+
 def loop_rows(atoms, xs, ts, neighbors):
     """Velocities one row at a time, by the unblocked kernel's formula: direct
     differences summed coordinate by coordinate, softmax over the K nearest
@@ -178,7 +206,7 @@ def loop_rows(atoms, xs, ts, neighbors):
     out = []
     for x, t in zip(xs, np.broadcast_to(ts, len(xs))):
         tc = min(max(t, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
-        d2 = sum((x[k] - tc * atoms[:, k]) ** 2 for k in range(atoms.shape[1]))
+        d2 = loop_sq_dists(atoms, x, tc)
         logw = -d2 / (2.0 * (1.0 - tc) ** 2)
         if neighbors is None:
             w = np.exp(logw - logw.max())
@@ -209,6 +237,7 @@ class TestBlockedKernel:
         atoms = rng.standard_normal((self.N, d))
         for b in self.ROWS:
             xs = rng.standard_normal((b, d))
+            assert_no_near_tie(atoms, xs, t, 50)
             got = EfmField(atoms, neighbors=50)(xs, t)
             assert np.array_equal(got, loop_rows(atoms, xs, t, 50)), b
 

@@ -1,6 +1,7 @@
 """Tests for the MLP velocity field, its gradients, and AdamW training."""
 
 import json
+import shutil
 import tracemalloc
 import warnings
 
@@ -236,13 +237,15 @@ class TestTraining:
 
     def test_invalid_config(self):
         # each message names the field and the value that failed
-        for name, bad, bound in (("learning_rate", -1.0, ">= 0"),
-                                 ("learning_rate", float("nan"), ">= 0"),
-                                 ("weight_decay", -0.5, ">= 0"),
-                                 ("batch_size", 0, ">= 1"), ("iterations", -1, ">= 0")):
+        for name, bad, least in (("learning_rate", -1.0, 0),
+                                 ("learning_rate", float("nan"), 0),
+                                 ("learning_rate", float("inf"), 0),
+                                 ("weight_decay", -0.5, 0),
+                                 ("weight_decay", float("inf"), 0),
+                                 ("batch_size", 0, 1), ("iterations", -1, 0)):
             with pytest.raises(ValueError) as err:
                 TrainConfig(**{name: bad})
-            assert str(err.value) == f"{name} must be {bound}, got {bad}"
+            assert str(err.value) == f"{name} must be finite and >= {least}, got {bad}"
 
     def test_zero_iterations_returns_the_initial_parameters(self):
         points = np.random.default_rng(16).standard_normal((20, 2))
@@ -371,6 +374,19 @@ def _cfm_floor(points, draws=20000, seed=123):
     return err / draws
 
 
+def _tensor_bytes(params):
+    return [(a.shape, a.dtype, a.tobytes()) for a in params.weights + params.biases]
+
+
+def _refuse_unpickling():
+    raise AssertionError("the checkpoint copy was unpickled")
+
+
+class _PickleTripwire:
+    def __reduce__(self):
+        return _refuse_unpickling, ()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(77)
@@ -395,6 +411,109 @@ class TestCheckpoint:
             json.dump({"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
                        "tensors": tensors}, fh)
         assert path.read_bytes() == streamed.read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_both_read_paths_round_trip_bitwise(self, tmp_path, seed):
+        params = init_params(seed)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        copy = tmp_path / "model.ckpt.npz"
+        assert copy.exists()
+        from_copy = load_checkpoint(path)
+        copy.unlink()
+        from_json = load_checkpoint(path)
+        assert _tensor_bytes(from_copy) == _tensor_bytes(params)
+        assert _tensor_bytes(from_json) == _tensor_bytes(params)
+
+    def test_intact_copy_is_read_without_parsing_json(self, tmp_path, monkeypatch):
+        params = init_params(4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checkpoint JSON was parsed")
+
+        monkeypatch.setattr(net.json, "loads", refuse)
+        assert _tensor_bytes(load_checkpoint(path)) == _tensor_bytes(params)
+
+    def test_stale_copy_is_not_read(self, tmp_path):
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(init_params(1), a)
+        save_checkpoint(init_params(2), b)
+        shutil.copy(b, a)               # B's JSON over A's pair
+        copy = tmp_path / "a.ckpt.npz"
+        stale = copy.read_bytes()
+        assert _tensor_bytes(load_checkpoint(a)) == _tensor_bytes(init_params(2))
+        # a read does not repair the copy
+        assert copy.read_bytes() == stale
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "npy", "object_array"])
+    def test_damaged_copy_gives_the_json_parameters(self, tmp_path, damage):
+        params = init_params(6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        copy = tmp_path / "model.ckpt.npz"
+        assert copy.exists()
+        if damage == "truncated":
+            blob = copy.read_bytes()
+            copy.write_bytes(blob[:len(blob) // 2])
+        elif damage == "empty":
+            copy.write_bytes(b"")
+        elif damage == "npy":
+            with open(copy, "wb") as fh:
+                np.save(fh, params.weights[0])
+        else:
+            # the right digest, but w0 is a pickled object that fails the
+            # test if it is ever unpickled
+            with np.load(copy) as npz:
+                tensors = dict(npz)
+            tensors["w0"] = np.array([_PickleTripwire()], dtype=object)
+            with open(copy, "wb") as fh:
+                np.savez(fh, **tensors)
+        assert _tensor_bytes(load_checkpoint(path)) == _tensor_bytes(params)
+
+    @pytest.mark.parametrize("failure", ["json", "copy"])
+    def test_failed_save_leaves_the_previous_files(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "model.ckpt"
+        old = init_params(1)
+        save_checkpoint(old, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["model.ckpt", "model.ckpt.npz"]
+        if failure == "json":
+            dumps, seen = json.dumps, []
+
+            def failing_dumps(obj, *args, **kwargs):
+                seen.append(obj)
+                if len(seen) == 4:      # the container's head, then the third tensor
+                    raise OSError("no space left on device")
+                return dumps(obj, *args, **kwargs)
+
+            monkeypatch.setattr(net.json, "dumps", failing_dumps)
+        else:
+            def failing_savez(fh, **tensors):
+                fh.write(b"PK")
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(net.np, "savez", failing_savez)
+        with pytest.raises(OSError):
+            save_checkpoint(init_params(2), path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert _tensor_bytes(load_checkpoint(path)) == _tensor_bytes(old)
+
+    def test_missing_or_misshapen_tensor_is_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_text('{"format": "kinflow-mlp", "tensors": []}')
+        with pytest.raises(ValueError, match="no tensor 'w0'"):
+            load_checkpoint(path)
+        save_checkpoint(init_params(1), path)
+        (tmp_path / "model.ckpt.npz").unlink()
+        blob = json.loads(path.read_text())
+        blob["tensors"][3]["shape"] = [128, 2]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"tensor 'b1' has shape \[128, 2\], "
+                                             r"expected \[256\]"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"
