@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,9 +247,10 @@ def loads_csv(text: str) -> LabeledDataset:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"expected {len(CSV_HEADER)} fields "
                                  f"({','.join(CSV_HEADER)}), got {len(row)}")
-            coords.append([float(row[0]), float(row[1])])
-            if not np.isfinite(coords[-1]).all():
+            x, y = float(row[0]), float(row[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"coordinates must be finite, got {row[0]},{row[1]}")
+            coords.append([x, y])
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
         strata.append(row[2])

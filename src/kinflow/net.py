@@ -8,6 +8,16 @@ an identity output layer.
 Training minimizes the conditional bridge regression loss: sample t, a data
 point z, and noise eps ~ N(0, I); build x_t = t z + (1 - t) eps and regress
 the network output at (x_t, t) onto the bridge velocity z - eps.
+
+Training runs in mixed precision.  The parameters and AdamW's moments are
+float64 master weights, and every AdamW step is taken in float64.  Each
+step's forward and backward pass runs in float32, on a float32 copy of the
+parameters refreshed from the masters once per step: in float32 the BLAS
+products and the elementwise passes take about half the time.  The batch
+draws, the residual and the loss stay float64.  Keeping the masters in
+float64 keeps small updates from rounding away and keeps a zero learning
+rate an exact identity.  Everything else, ``forward``, ``cfm_loss_grad`` on
+float64 parameters, and checkpoints, is float64.
 """
 
 from __future__ import annotations
@@ -105,10 +115,10 @@ def init_params(seed: int | np.random.SeedSequence) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def zero_params() -> MlpParams:
+def zero_params(dtype=np.float64) -> MlpParams:
     return MlpParams(
-        [np.zeros((i, o)) for i, o in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])],
-        [np.zeros(o) for o in LAYER_DIMS[1:]],
+        [np.zeros((i, o), dtype) for i, o in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])],
+        [np.zeros(o, dtype) for o in LAYER_DIMS[1:]],
     )
 
 
@@ -124,13 +134,13 @@ def _silu(x: np.ndarray, sig: np.ndarray, act: np.ndarray):
     return np.multiply(x, sig, out=act), sig
 
 
-def _layer_buffers(rows: int):
+def _layer_buffers(rows: int, dtype=np.float64):
     """The (rows, width) arrays of one forward pass that a backward pass
     reads: every layer's pre-activation, and each hidden layer's sigmoid
     and activation."""
-    return ([np.empty((rows, w)) for w in LAYER_DIMS[1:]],
-            [np.empty((rows, w)) for w in HIDDEN_DIMS],
-            [np.empty((rows, w)) for w in HIDDEN_DIMS])
+    return ([np.empty((rows, w), dtype) for w in LAYER_DIMS[1:]],
+            [np.empty((rows, w), dtype) for w in HIDDEN_DIMS],
+            [np.empty((rows, w), dtype) for w in HIDDEN_DIMS])
 
 
 def _inference_buffers(rows: int):
@@ -222,26 +232,25 @@ class NeuralVelocityField:
 class _Workspace:
     """Every array that one training step of ``batch`` rows writes.
 
-    The sampled batch and its input block, the forward cache (which the
-    backward pass overwrites with its deltas), the gradients, and AdamW's
+    The network's arrays are ``dtype``: ``params``, a copy of the parameters
+    for the trainer to refresh, the input block, the forward cache (which
+    the backward pass overwrites with its deltas) and the gradients.  The
+    sampled batch, the residual and the loss are float64, and so is AdamW's
     scratch: two arrays per tensor, shaped like it, viewed into two flat
-    buffers the size of the largest tensor.  AdamW runs after the backward
-    pass, so from 256 rows up those are the two (batch, 256) sigmoids.
+    buffers the size of the largest tensor.
     """
 
-    def __init__(self, batch: int):
+    def __init__(self, batch: int, dtype):
         self.t, self.one_minus_t, self.row_loss = (np.empty(batch) for _ in range(3))
         self.eps, self.z, self.target, self.sq = (np.empty((batch, STATE_DIM))
                                                   for _ in range(4))
         self.phase, self.trig = (np.empty((batch, TIME_ENC_DIM // 2)) for _ in range(2))
-        self.inputs = np.empty((batch, LAYER_DIMS[0]))
-        self.cache = _layer_buffers(batch)
-        self.grads = zero_params()
+        self.inputs = np.empty((batch, LAYER_DIMS[0]), dtype)
+        self.cache = _layer_buffers(batch, dtype)
+        self.params = zero_params(dtype)
+        self.grads = zero_params(dtype)
         tensors = self.grads.weights + self.grads.biases
-        largest = max(g.size for g in tensors)
-        sig = self.cache[1]
-        flat = ([s.reshape(-1) for s in sig[1:3]] if sig[1].size >= largest
-                else np.empty((2, largest)))
+        flat = np.empty((2, max(g.size for g in tensors)))
         self.adamw = [(flat[0][:g.size].reshape(g.shape), flat[1][:g.size].reshape(g.shape))
                       for g in tensors]
 
@@ -252,36 +261,40 @@ def cfm_loss_grad(params: MlpParams, points: np.ndarray, batch: int,
     """One stochastic estimate of the bridge regression loss and its gradients.
 
     Draw order per call: batch indices, then t, then noise.  The loss is the
-    batch mean of ||v(x_t, t) - (z - eps)||^2.  Every array is written into
-    ``out``, a ``_Workspace(batch)``, or into a fresh one; the gradients
-    returned are its own, overwritten by its next step.
+    batch mean of ||v(x_t, t) - (z - eps)||^2.  The network runs in the dtype
+    of ``params``, and so do the gradients; the draws, the residual and the
+    loss are float64.  Every array is written into ``out``, a
+    ``_Workspace(batch, dtype)``, or into a fresh one; the gradients returned
+    are its own, overwritten by its next step.
     """
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise ValueError("dataset must be non-empty")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    ws = _Workspace(batch) if out is None else out
+    ws = _Workspace(batch, params.weights[0].dtype) if out is None else out
     idx = rng.integers(0, len(points), batch)
     t = rng.random(out=ws.t)
     t *= 1.0 - T_EPS
     eps = rng.standard_normal(out=ws.eps)
     # the indices are in range, and mode="raise" would buffer the copy
     z = np.take(points, idx, axis=0, out=ws.z, mode="clip")
-    # x_t = t z + (1 - t) eps, into the input block's state columns
-    x_t = ws.inputs[:, :STATE_DIM]
-    np.multiply(t[:, None], z, out=x_t)
-    np.subtract(1.0, t, out=ws.one_minus_t)
-    np.add(x_t, np.multiply(ws.one_minus_t[:, None], eps, out=ws.target), out=x_t)
     target = np.subtract(z, eps, out=ws.target)
+    # x_t = t z + (1 - t) eps, over z and eps, then cast once into the input
+    # block's state columns; the time encoding is cast the same way
+    x_t = np.multiply(t[:, None], z, out=z)
+    np.subtract(1.0, t, out=ws.one_minus_t)
+    np.add(x_t, np.multiply(ws.one_minus_t[:, None], eps, out=eps), out=x_t)
+    ws.inputs[:, :STATE_DIM] = x_t
     _encode_time(t, ws.inputs[:, STATE_DIM:], ws.phase, ws.trig)
 
-    resid = _forward(params, ws.inputs, ws.cache)
-    np.subtract(resid, target, out=resid)
+    out_rows = _forward(params, ws.inputs, ws.cache)
+    resid = np.subtract(out_rows, target, out=target)
     loss = float(np.sum(np.square(resid, out=ws.sq), axis=1, out=ws.row_loss).mean())
     np.multiply(2.0, resid, out=resid)
-    np.divide(resid, batch, out=resid)
-    _backward(params, ws.inputs, ws.cache, resid, ws.grads)
+    # d(loss)/d(output), rounded once into the network's dtype
+    d_out = np.divide(resid, batch, out=out_rows)
+    _backward(params, ws.inputs, ws.cache, d_out, ws.grads)
     return loss, ws.grads
 
 
@@ -307,6 +320,8 @@ class AdamWState:
 
     The decay step is ``p -= weight_decay * p`` independent of the learning
     rate, so a zero learning rate leaves parameters changed only by decay.
+    The moments are shaped and typed like the parameters; every step is
+    taken in float64, whatever dtype the gradients come in.
     """
 
     m: MlpParams
@@ -323,7 +338,7 @@ class AdamWState:
     def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float,
                scratch) -> None:
         """One step on ``params``, in place, with a workspace's ``adamw``
-        pairs of scratch arrays."""
+        pairs of float64 scratch arrays."""
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
@@ -331,10 +346,11 @@ class AdamWState:
                                       grads.weights + grads.biases,
                                       self.m.weights + self.m.biases,
                                       self.v.weights + self.v.biases, scratch):
+            np.copyto(b, g)                 # the gradient, in float64
             m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
+            m += np.multiply(1.0 - self.beta1, b, out=a)
             v *= self.beta2
-            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+            v += np.multiply(np.multiply(1.0 - self.beta2, b, out=a), b, out=a)
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.multiply(lr, np.divide(m, bc1, out=a), out=a)
             np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
@@ -444,7 +460,10 @@ def _parse_json(raw: bytes, path) -> dict:
 
 
 def train(points: np.ndarray, cfg: TrainConfig) -> TrainResult:
-    """Run ``cfg.iterations`` AdamW steps; deterministic given ``cfg.seed``."""
+    """Run ``cfg.iterations`` AdamW steps; deterministic given ``cfg.seed``.
+
+    Returns the float64 master weights; each step's loss and gradients are
+    computed in float32 on a copy of them (see the module docstring)."""
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise ValueError("dataset must be non-empty")
@@ -453,11 +472,23 @@ def train(points: np.ndarray, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(batch_ss)
     opt = AdamWState.for_params(params)
     losses = np.empty(cfg.iterations)
-    ws = _Workspace(cfg.batch_size)
+    ws = _Workspace(cfg.batch_size, np.float32)
     for i in range(cfg.iterations):
-        loss, grads = cfm_loss_grad(params, points, cfg.batch_size, rng, out=ws)
-        if not np.isfinite(loss):
+        losses[i] = _train_step(params, opt, points, cfg, rng, ws)
+        if not np.isfinite(losses[i]):
             raise TrainingDiverged(i)
-        losses[i] = loss
-        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay, ws.adamw)
     return TrainResult(params, losses)
+
+
+def _train_step(params: MlpParams, opt: AdamWState, points: np.ndarray,
+                cfg: TrainConfig, rng: np.random.Generator, ws: _Workspace) -> float:
+    """One AdamW step on the master weights ``params``, with the loss and
+    gradients of ``ws.params``, their copy in the workspace's dtype; returns
+    the loss, and takes no step when it is not finite."""
+    for copy, master in zip(ws.params.weights + ws.params.biases,
+                            params.weights + params.biases):
+        np.copyto(copy, master)
+    loss, grads = cfm_loss_grad(ws.params, points, cfg.batch_size, rng, out=ws)
+    if np.isfinite(loss):
+        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay, ws.adamw)
+    return loss

@@ -1,28 +1,39 @@
-"""The benchmark's tracer finds every kinflow function it wraps.
+"""What the benchmark reads from kinflow still resolves and still checks.
 
 ``bench/tracing.py`` looks up each name in its ``TARGETS`` table on the
 kinflow package and replaces it for a traced run; a renamed or removed
-function would only show as a crashed traced run.  The table is read from
-the file, which is left untouched; the test is skipped without ``bench/``.
+function would only show as a crashed traced run.  ``bench/reference.py``
+checks ``cfm_loss_grad`` on a trained checkpoint against its own float64
+loss at a relative 1e-9; a loss computed in a lower precision would only
+show as a failed benchmark run.  Both files are loaded, and left
+untouched; the tests are skipped without ``bench/``.
 """
 
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from kinflow import datasets, net
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    path = BENCH / f"{name}.py"
+    if not path.is_file():
+        pytest.skip(f"no bench/{name}.py in this checkout")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def targets():
-    if not TRACING.is_file():
-        pytest.skip("no bench/tracing.py in this checkout")
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return _bench_module("tracing").TARGETS
 
 
 def test_every_traced_name_resolves(targets):
@@ -39,3 +50,22 @@ def test_every_traced_name_resolves(targets):
             if not ok:
                 missing.append(f"{layer}.{name}")
     assert not missing, f"traced names missing from kinflow: {missing}"
+
+
+def test_loss_grad_of_a_trained_checkpoint_passes_the_reference(tmp_path):
+    # train() runs its steps in float32; the checkpoint it leaves, and
+    # cfm_loss_grad on it, must stay float64.  On this checkpoint a float32
+    # step's loss is off by 1e-10 to 2e-8 relative, depending on the draw, so
+    # six draws are checked; four of them are off by more than 1e-9
+    reference = _bench_module("reference")
+    points = datasets.generate("dense_sparse", 200, 3).points
+    result = net.train(points, net.TrainConfig(iterations=300, batch_size=64, seed=4))
+    path = tmp_path / "model.ckpt"
+    net.save_checkpoint(result.params, path)
+    params, layers = net.load_checkpoint(path), reference.read_checkpoint(path)
+    problems = []
+    for seed in range(9, 15):
+        loss, grads = net.cfm_loss_grad(params, points, 64, np.random.default_rng(seed))
+        problems += reference.check_loss_grad(layers, points, 64, seed, loss,
+                                              list(zip(grads.weights, grads.biases)))
+    assert problems == []

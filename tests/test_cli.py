@@ -83,6 +83,24 @@ class TestTrainCommand:
                      "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
         assert code == EXIT_INVALID_CONFIG
 
+    @pytest.mark.parametrize("option", ["--out", "--loss-curve"])
+    def test_missing_output_directory_exits_before_training(
+            self, tiny_artifacts, tmp_path, monkeypatch, capsys, option):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(net, "train", refuse)
+        paths = {"--out": tmp_path / "m.ckpt", "--loss-curve": tmp_path / "loss.csv"}
+        paths[option] = tmp_path / "missing" / "file"
+        code = main(["train", "--data", str(tiny_artifacts["data"]), "--iters", "1",
+                     "--out", str(paths["--out"]),
+                     "--loss-curve", str(paths["--loss-curve"])])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert f"{option}: directory {tmp_path / 'missing'} does not exist" in err
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleCommand:
     def test_trace_files(self, tiny_artifacts):
