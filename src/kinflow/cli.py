@@ -601,7 +601,7 @@ def _cmd_train(args) -> int:
     tc = net.TrainConfig(learning_rate=args.lr, weight_decay=args.weight_decay,
                          batch_size=args.batch, iterations=args.iters, seed=args.seed)
     loss_path = args.loss_curve or (os.path.splitext(args.out)[0] + "_loss.csv")
-    # checked before the first step, not found out when the outputs are written
+    # checked here, or a missing directory would surface only after the last step
     for option, path in (("--out", args.out), ("--loss-curve", loss_path)):
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):

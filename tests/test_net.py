@@ -268,35 +268,35 @@ class TestTraining:
                              ref_params.weights + ref_params.biases):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_step_allocates_less_than_one_activation(self, dtype):
+    def test_step_allocates_less_than_one_activation(self):
         # one batch-256 step writes into its workspace; a step that allocates
         # its temporaries peaks at about 7.8 MB.  float32 is the step that
         # train() takes; float64 runs the network on the master weights' dtype
         points = np.random.default_rng(18).standard_normal((500, 2))
-        params = init_params(1)
-        opt = net.AdamWState.for_params(params)
-        ws = net._Workspace(256, dtype)
-        rng = np.random.default_rng(0)
         cfg = TrainConfig(batch_size=256)
+        for dtype in (np.float32, np.float64):
+            params = init_params(1)
+            opt = net.AdamWState.for_params(params)
+            ws = net._Workspace(256, dtype)
+            rng = np.random.default_rng(0)
 
-        def step():
-            net._train_step(params, opt, points, cfg, rng, ws)
+            def step():
+                net._train_step(params, opt, points, cfg, rng, ws)
 
-        step()
-        step()
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
             step()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
+            step()
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        assert peak < np.empty((256, 128)).nbytes
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                step()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak < np.empty((256, 128)).nbytes, dtype
 
 
 class TestPrecision:
