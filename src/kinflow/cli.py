@@ -197,13 +197,13 @@ def _sample(field_fn, label: str, solver: SolverStageConfig,
             schedule: sampler.KtsSchedule, outdir: str) -> sampler.Trajectory:
     """``solver.m`` trajectories under ``schedule``, written to ``outdir`` as
     ``traces.csv`` and ``summary.json``."""
-    meta = {"field": label, "seed": solver.seed, "alpha0": schedule.alpha0,
-            "beta0": schedule.beta0, "k": schedule.k}
-    batch = sampler.sample_batch(field_fn, solver.m, solver, tau_split=schedule.tau_split,
-                                 meta=meta, schedules=(schedule,))
+    batch = sampler.sample_batch(field_fn, solver.m, solver, (schedule,))
     os.makedirs(outdir, exist_ok=True)
     sampler.save_traces(batch, os.path.join(outdir, "traces.csv"))
-    _write_json(os.path.join(outdir, "summary.json"), sampler.batch_summary(batch))
+    summary = sampler.batch_summary(batch)
+    summary["solver"].update(field=label, seed=solver.seed, alpha0=schedule.alpha0,
+                             beta0=schedule.beta0, k=schedule.k)
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     return batch
 
 
@@ -214,14 +214,29 @@ def stage_sample(cfg: ExperimentConfig, outdir: str) -> dict:
             "summary": os.path.join(outdir, "summary.json")}
 
 
+def _load_heldout(path: str, data: datasets.LabeledDataset, m: int, source: str) -> np.ndarray:
+    """The ``--heldout`` points at ``path``; a ValueError unless they number at
+    least ``m`` (counted by ``source``) and share no point with ``data``."""
+    heldout = datasets.load_csv(path).points
+    if len(heldout) < m:
+        raise ValueError(f"--heldout {path} has {len(heldout)} points, fewer than "
+                         f"the {m} trajectories of {source}")
+    shared = {*map(tuple, heldout.tolist())} & {*map(tuple, data.points.tolist())}
+    if shared:
+        raise ValueError(f"--heldout {path} shares {len(shared)} of its {len(heldout)} "
+                         f"points with the {data.n} points of --data")
+    return heldout
+
+
 def _diagnose(summary_dir: str, data_path: str, heldout_path: str | None,
               diag: DiagConfig, config: dict, out_path: str) -> dict:
     """Energy/density and memorization statistics of the trajectories in
     ``summary_dir``/summary.json; W2 to the held-out set when one is given."""
     data = datasets.load_csv(data_path)
-    heldout = datasets.load_csv(heldout_path).points if heldout_path else None
     with open(os.path.join(summary_dir, "summary.json")) as fh:
         trajs = json.load(fh)["trajectories"]
+    heldout = None if heldout_path is None else _load_heldout(
+        heldout_path, data, len(trajs), f"--traces {summary_dir}")
     kpes = np.array([t["kpe"] for t in trajs])
     endpoints = np.array([t["endpoint"] for t in trajs])
     report = asdict(diagnostics.kpe_density_report(kpes, endpoints, data,
@@ -230,9 +245,7 @@ def _diagnose(summary_dir: str, data_path: str, heldout_path: str | None,
     del report["n_sparse"], report["n_dense"]       # the report keeps n only
     mem = diagnostics.f_mem(endpoints, data.points, tau_gap=diag.tau_gap,
                             k_mem=diag.k_mem)
-    w2 = None
-    if heldout is not None and len(heldout) >= len(endpoints):
-        w2 = diagnostics.exact_w2(endpoints, heldout[:len(endpoints)])
+    w2 = None if heldout is None else diagnostics.exact_w2(endpoints, heldout[:len(endpoints)])
     report.update(f_mem=mem.f_mem, w2=w2, config=config)
     _write_json(out_path, report)
     return report
@@ -440,8 +453,8 @@ def kts_sweep(params: net.MlpParams, data: datasets.LabeledDataset,
     m = cfg.solver.m
     cells = [(0.0, 0.0)] + [(a, b) for a in alpha_grid for b in beta_grid]
     batch = sampler.sample_batch(
-        net.NeuralVelocityField(params), m, cfg.solver, tau_split=cfg.kts.tau_split,
-        schedules=[replace(cfg.kts, alpha0=a0, beta0=b0) for a0, b0 in cells])
+        net.NeuralVelocityField(params), m, cfg.solver,
+        [replace(cfg.kts, alpha0=a0, beta0=b0) for a0, b0 in cells])
     rows = []
     for c, (a0, b0) in enumerate(cells):
         block = batch[c * m:(c + 1) * m]
@@ -676,12 +689,9 @@ def _cmd_kts_sweep(args) -> int:
     cfg = ExperimentConfig(
         solver=SolverStageConfig(method=args.solver, steps=args.steps,
                                  m=args.m, seed=args.seed))
-    heldout = datasets.load_csv(args.heldout).points
-    if args.m > len(heldout):
-        raise ValueError(f"--m {args.m} exceeds the {len(heldout)} points of "
-                         f"--heldout {args.heldout}")
-    params = net.load_checkpoint(args.model)
     data = datasets.load_csv(args.data)
+    heldout = _load_heldout(args.heldout, data, args.m, f"--m {args.m}")
+    params = net.load_checkpoint(args.model)
     rows = kts_sweep(params, data, heldout, cfg, alpha_grid, beta_grid)
     with open(args.out, "w") as fh:
         fh.write("alpha0,beta0,w2,f_mem,kpe_early,kpe_late\n")

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -230,14 +230,12 @@ class NeuralVelocityField:
 
 
 class _Workspace:
-    """Every array that one training step of ``batch`` rows writes.
+    """Every array that one loss and gradient evaluation of ``batch`` rows
+    writes.
 
-    The network's arrays are ``dtype``: ``params``, a copy of the parameters
-    for the trainer to refresh, the input block, the forward cache (which
-    the backward pass overwrites with its deltas) and the gradients.  The
-    sampled batch, the residual and the loss are float64, and so is AdamW's
-    scratch: two arrays per tensor, shaped like it, viewed into two flat
-    buffers the size of the largest tensor.
+    The network's arrays are ``dtype``: the input block, the forward cache
+    (which the backward pass overwrites with its deltas) and the gradients.
+    The sampled batch, the residual and the loss are float64.
     """
 
     def __init__(self, batch: int, dtype):
@@ -247,12 +245,7 @@ class _Workspace:
         self.phase, self.trig = (np.empty((batch, TIME_ENC_DIM // 2)) for _ in range(2))
         self.inputs = np.empty((batch, LAYER_DIMS[0]), dtype)
         self.cache = _layer_buffers(batch, dtype)
-        self.params = zero_params(dtype)
         self.grads = zero_params(dtype)
-        tensors = self.grads.weights + self.grads.biases
-        flat = np.empty((2, max(g.size for g in tensors)))
-        self.adamw = [(flat[0][:g.size].reshape(g.shape), flat[1][:g.size].reshape(g.shape))
-                      for g in tensors]
 
 
 def cfm_loss_grad(params: MlpParams, points: np.ndarray, batch: int,
@@ -321,7 +314,9 @@ class AdamWState:
     The decay step is ``p -= weight_decay * p`` independent of the learning
     rate, so a zero learning rate leaves parameters changed only by decay.
     The moments are shaped and typed like the parameters; every step is
-    taken in float64, whatever dtype the gradients come in.
+    taken in float64, whatever dtype the gradients come in, with ``scratch``:
+    two float64 arrays per tensor, shaped like it, viewed into two flat
+    buffers the size of the largest tensor.
     """
 
     m: MlpParams
@@ -330,22 +325,27 @@ class AdamWState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tensors = self.m.weights + self.m.biases
+        flat = np.empty((2, max(t.size for t in tensors)))
+        self.scratch = [(flat[0][:t.size].reshape(t.shape), flat[1][:t.size].reshape(t.shape))
+                        for t in tensors]
 
     @classmethod
     def for_params(cls, params: MlpParams) -> "AdamWState":
         return cls(m=params.zeros_like(), v=params.zeros_like())
 
-    def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float,
-               scratch) -> None:
-        """One step on ``params``, in place, with a workspace's ``adamw``
-        pairs of float64 scratch arrays."""
+    def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float) -> None:
+        """One step on ``params``, in place."""
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
         for p, g, m, v, (a, b) in zip(params.weights + params.biases,
                                       grads.weights + grads.biases,
                                       self.m.weights + self.m.biases,
-                                      self.v.weights + self.v.biases, scratch):
+                                      self.v.weights + self.v.biases, self.scratch):
             np.copyto(b, g)                 # the gradient, in float64
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, b, out=a)
@@ -472,23 +472,22 @@ def train(points: np.ndarray, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(batch_ss)
     opt = AdamWState.for_params(params)
     losses = np.empty(cfg.iterations)
-    ws = _Workspace(cfg.batch_size, np.float32)
+    copy, ws = zero_params(np.float32), _Workspace(cfg.batch_size, np.float32)
     for i in range(cfg.iterations):
-        losses[i] = _train_step(params, opt, points, cfg, rng, ws)
+        losses[i] = _train_step(params, copy, opt, points, cfg, rng, ws)
         if not np.isfinite(losses[i]):
             raise TrainingDiverged(i)
     return TrainResult(params, losses)
 
 
-def _train_step(params: MlpParams, opt: AdamWState, points: np.ndarray,
+def _train_step(params: MlpParams, copy: MlpParams, opt: AdamWState, points: np.ndarray,
                 cfg: TrainConfig, rng: np.random.Generator, ws: _Workspace) -> float:
     """One AdamW step on the master weights ``params``, with the loss and
-    gradients of ``ws.params``, their copy in the workspace's dtype; returns
-    the loss, and takes no step when it is not finite."""
-    for copy, master in zip(ws.params.weights + ws.params.biases,
-                            params.weights + params.biases):
-        np.copyto(copy, master)
-    loss, grads = cfm_loss_grad(ws.params, points, cfg.batch_size, rng, out=ws)
+    gradients of ``copy``, refreshed from them here in the workspace's dtype;
+    returns the loss, and takes no step when it is not finite."""
+    for low, master in zip(copy.weights + copy.biases, params.weights + params.biases):
+        np.copyto(low, master)
+    loss, grads = cfm_loss_grad(copy, points, cfg.batch_size, rng, out=ws)
     if np.isfinite(loss):
-        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay, ws.adamw)
+        opt.update(params, grads, cfg.learning_rate, cfg.weight_decay)
     return loss

@@ -1,20 +1,24 @@
 """ODE sampling with per-step kinetic energy accumulation and velocity shaping.
 
-Any callable ``field(x, t) -> velocity`` that takes an (m, d) batch of states
-and returns an (m, d) velocity, or one that broadcasts to it, can be
-integrated on a uniform grid over [0, 1 - delta_cut] with forward Euler or the
-explicit midpoint rule.  All trajectories of a batch advance together: one
-field call per solver stage per step, whatever m is, and come back as one
-``Trajectory`` record with a row axis.  The
-per-step instantaneous power ||v||^2 is recorded at the evaluation that moves
-the state (Euler: left endpoint; midpoint: the midpoint evaluation), and the
+``integrate`` is the one integration body.  It takes explicit starts, one
+(d,) state or an (m, d) batch, and any callable ``field(x, t) -> velocity``
+that takes an (m, d) batch of states and returns an (m, d) velocity, or one
+that broadcasts to it.  It integrates on a uniform grid over
+[0, 1 - delta_cut] with forward Euler or the explicit midpoint rule.  All
+trajectories advance together: one field call per solver stage per step,
+whatever m is, and come back as one ``Trajectory`` record with a row axis.
+``sample_batch`` draws seeded 2-D starts and calls it.  The per-step
+instantaneous power ||v||^2 is recorded at the evaluation that moves the
+state (Euler: left endpoint; midpoint: the midpoint evaluation), and the
 kinetic path energy is the half-sum of power times the step width.
 
 Kinetic trajectory shaping rescales a base field by a time-dependent gain:
 a linearly decaying boost before ``tau_split`` and an exponentially growing
-damping after it, continuous at the split.  The sampler applies the gain
-itself, so a whole grid of gain schedules shares one base-field call per
-solver stage per step.
+damping after it, continuous at the split.  Every path runs under a gain
+schedule, the identity (gain exactly 1) by default, and its energy is split
+into early and late parts at that schedule's ``tau_split``.  The sampler
+applies the gain itself, so a whole grid of gain schedules that share one
+split shares one base-field call per solver stage per step.
 """
 
 from __future__ import annotations
@@ -91,11 +95,12 @@ def kts_eta(s: KtsSchedule, t: float) -> float:
 class Trajectory:
     """m integrated paths with their power traces and accumulated energies.
 
-    ``times`` (steps+1 grid points), ``tau_split`` and ``meta`` are shared;
-    the other arrays have a leading row axis, which an integer index drops
-    (one path, as iteration yields) and a slice keeps (a block).  Per step,
-    ``velocities`` and ``power`` hold the defining evaluation; ``kpe`` is
-    ``kpe_early + kpe_late``, split at ``tau_split`` by the left grid time.
+    ``times`` (steps+1 grid points), ``tau_split`` and ``meta`` (the solver
+    settings) are shared; the other arrays have a leading row axis, which an
+    integer index drops (one path, as iteration yields) and a slice keeps (a
+    block).  Per step, ``velocities`` and ``power`` hold the defining
+    evaluation; ``kpe`` is ``kpe_early + kpe_late``, split at ``tau_split``
+    by the left grid time.
     """
 
     times: np.ndarray       # (N+1,)
@@ -132,37 +137,45 @@ class Trajectory:
         return np.cumsum(np.insert(0.5 * self.power * self.dt, 0, 0.0, axis=-1), axis=-1)
 
 
-def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
-                    tau_split: float, meta: dict | None,
-                    schedules: Sequence[KtsSchedule] | None = None):
-    """Advance the (m, d) starts ``x0`` together, once per gain schedule: row
-    c*m + i starts at x0[i] and follows eta_c(t) * field(x, t) (the field
-    itself when ``schedules`` is None).  One field call per solver stage per
-    step, on the rows still finite; each row's gain multiplies its velocity
-    before the finiteness check.  Returns the (C*m)-row record (valid only
-    without failures) and the sorted (row, step) pairs at which rows turned
-    non-finite."""
+def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
+              schedules: Sequence[KtsSchedule] = (KtsSchedule(),)) -> Trajectory:
+    """Integrate the starts ``x0``, one (d,) state or an (m, d) batch, once per
+    gain schedule: row c*m + i (its id in ``failures`` too) starts at x0[i]
+    and follows eta_c(t) * field(x, t), so block c is ``batch[c*m:(c+1)*m]``.
+    All rows share one field call per solver stage per step, on the rows
+    still finite; the identity schedule's gain is exactly 1.  Energies split
+    at the schedules' shared ``tau_split``.  A (d,) start takes one schedule
+    and returns one path, without the row axis.  All failures are collected
+    before raising; the error names the first, with ``trajectory`` None for
+    a (d,) start."""
+    x0 = np.array(x0, dtype=np.float64)
+    single = x0.ndim == 1
+    x0 = x0[None, :] if single else x0
+    if x0.ndim != 2 or not x0.size:
+        raise ValueError(f"x0 must be one (d,) start or a non-empty (m, d) batch, "
+                         f"got shape {x0.shape}")
+    if not len(schedules) or (single and len(schedules) > 1):
+        raise ValueError("schedules must hold one KtsSchedule, or several for (m, d) starts")
+    splits = sorted({s.tau_split for s in schedules})
+    if len(splits) > 1:
+        raise ValueError(f"schedules must share one tau_split, got {splits}")
     m, dim = x0.shape
     dt = (1.0 - cfg.delta_cut) / cfg.steps
     times = np.linspace(0.0, 1.0 - cfg.delta_cut, cfg.steps + 1)
-    gain = None
-    if schedules is not None:
-        x0 = np.tile(x0, (len(schedules), 1))
-        # gain[c, j, k]: schedule c's eta at stage k of step j
-        offsets = (0.0, 0.5 * dt) if cfg.method == "midpoint" else (0.0,)
-        gain = np.array([[[kts_eta(s, t + h) for h in offsets] for t in times[:-1]]
-                         for s in schedules])
+    # gain[c, j, k]: schedule c's eta at stage k of step j
+    offsets = (0.0, 0.5 * dt) if cfg.method == "midpoint" else (0.0,)
+    gain = np.array([[[kts_eta(s, t + h) for h in offsets] for t in times[:-1]]
+                     for s in schedules])
 
     def call(x, t, rows, j, k):
         v = np.broadcast_to(field_fn(x, t), x.shape).astype(np.float64)
-        if gain is not None:
-            v *= gain[rows // m, j, k][:, None]
+        v *= gain[rows // m, j, k][:, None]
         return v
 
-    n = len(x0)
+    n = m * len(schedules)
     states = np.empty((n, cfg.steps + 1, dim))
     velocities = np.empty((n, cfg.steps, dim))
-    states[:, 0] = x = x0
+    states[:, 0] = x = np.tile(x0, (len(schedules), 1))
     rows, failures = np.arange(n), []
     for j, t in enumerate(times[:-1]):
         v = call(x, t, rows, j, 0)
@@ -177,61 +190,37 @@ def _integrate_rows(field_fn: VelocityField, x0: np.ndarray, cfg: SolverConfig,
         rows, x = rows[ok], x[ok]
         if not len(rows):
             break
+    if failures:
+        errors = [(i, IntegrationDiverged(step, None if single else i))
+                  for i, step in sorted(failures)]
+        errors[0][1].failures = errors
+        raise errors[0][1]
 
     power = (velocities ** 2).sum(axis=2)
-    early = times[:-1] < tau_split
+    early = times[:-1] < splits[0]
     # the boolean-indexed copy is not C-contiguous, so numpy adds each row's
     # steps in sequence, not pairwise; every KPE byte (summaries, traces,
     # theory report) depends on that order, so per-step widths must keep it
     kpe_early = 0.5 * power[:, early].sum(axis=1) * dt
     kpe_late = 0.5 * power[:, ~early].sum(axis=1) * dt
-    info = {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut,
-            **(meta or {})}
-    return (Trajectory(times, states, velocities, power, kpe_early, kpe_late, tau_split,
-                       info), sorted(failures))
-
-
-def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
-              tau_split: float = 0.6, meta: dict | None = None) -> Trajectory:
-    """Integrate one trajectory from ``x0``: the m = 1 case of the batched
-    core, so the field is called with a (1, d) batch."""
-    batch, failures = _integrate_rows(field_fn, np.array(x0, dtype=np.float64)[None, :],
-                                      cfg, tau_split, meta)
-    if failures:
-        raise IntegrationDiverged(failures[0][1])
-    return batch[0]
+    batch = Trajectory(times, states, velocities, power, kpe_early, kpe_late, splits[0],
+                       {"method": cfg.method, "steps": cfg.steps, "delta_cut": cfg.delta_cut})
+    return batch[0] if single else batch
 
 
 def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
-                 tau_split: float = 0.6, meta: dict | None = None,
-                 schedules: Sequence[KtsSchedule] | None = None) -> Trajectory:
-    """Integrate ``m`` trajectories from i.i.d. 2-D standard-normal starts
-    into one m-row record.
+                 schedules: Sequence[KtsSchedule] = (KtsSchedule(),)) -> Trajectory:
+    """``integrate`` from ``m`` i.i.d. 2-D standard-normal starts.
 
     Initial states come from per-trajectory child streams of ``cfg.seed``
     (stream i = SeedSequence(seed).spawn(m)[i]), so results do not depend on
-    execution order.  All failures are collected before raising.
-
-    With ``schedules`` (s_0, ..., s_{C-1}) the m starts are integrated once
-    under each shaped field eta_c(t) * field(x, t), all C*m rows in the same
-    field calls: steps x stages calls whatever C*m is.  The result holds C
-    blocks of m rows in schedule order, block c being ``batch[c*m:(c+1)*m]``;
-    row c*m + i (its id in ``failures`` too) is start i under schedule c.
-    ``tau_split`` splits the energy of every row, whatever the schedules' own
-    splits.
+    execution order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if schedules is not None and not len(schedules):
-        raise ValueError("schedules must hold at least one KtsSchedule")
     x0 = np.stack([np.random.default_rng(ss).standard_normal(2)
                    for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
-    batch, failures = _integrate_rows(field_fn, x0, cfg, tau_split, meta, schedules)
-    if failures:
-        err = IntegrationDiverged(failures[0][1], failures[0][0])
-        err.failures = [(i, IntegrationDiverged(step, i)) for i, step in failures]
-        raise err
-    return batch
+    return integrate(field_fn, x0, cfg, schedules)
 
 
 def save_traces(batch: Trajectory, path) -> None:

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` looks up each name in its ``TARGETS`` table on the
 kinflow package and replaces it for a traced run; a renamed or removed
-function would only show as a crashed traced run.  ``bench/reference.py``
+function would only show as a crashed traced run, and a traced name that
+calls another would only show as miscounted rows.  ``bench/reference.py``
 checks ``cfm_loss_grad`` on a trained checkpoint against its own float64
 loss at a relative 1e-9; a loss computed in a lower precision would only
 show as a failed benchmark run.  Both files are loaded, and left
@@ -16,6 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import kinflow
 from kinflow import datasets, net
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -50,6 +52,20 @@ def test_every_traced_name_resolves(targets):
             if not ok:
                 missing.append(f"{layer}.{name}")
     assert not missing, f"traced names missing from kinflow: {missing}"
+
+
+def test_traced_sample_batch_counts_each_row_once():
+    # sample_batch calls integrate, which is traced too; the field calls
+    # inside both spans are counted once, under the one sample_batch span
+    tracing = _bench_module("tracing")
+    tracer = tracing.Tracer()
+    field = kinflow.EfmField(np.random.default_rng(0).standard_normal((20, 2)))
+    with tracing.instrument(tracer, kinflow):
+        kinflow.sampler.sample_batch(field, 8, kinflow.SolverConfig(steps=5))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("sampler.sample_batch") == 1
+    assert names.count("efm.EfmField.__call__") == 5
+    assert tracing.summarize(tracer.spans)["sampler.rows_evaluated"] == 40
 
 
 def test_loss_grad_of_a_trained_checkpoint_passes_the_reference(tmp_path):

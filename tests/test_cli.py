@@ -183,6 +183,19 @@ class TestDiagnoseCommand:
         assert report["n"] == 40
         assert report["w2"] is None  # no heldout set given
 
+    def test_heldout_smaller_than_the_trajectories_exits_2(self, tiny_artifacts,
+                                                           tmp_path, capsys):
+        # W2 pairs each of the 40 endpoints with its own held-out point
+        out = tmp_path / "report.json"
+        code = main(["diagnose", "--traces", str(tiny_artifacts["traces"]),
+                     "--data", str(tiny_artifacts["data"]),
+                     "--heldout", str(tiny_artifacts["heldout"]),
+                     "--k", "10", "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "--heldout" in err and "10 points" in err and "40 trajectories" in err
+        assert not out.exists()
+
 
 class TestVerifyTheoryCommand:
     def test_report_and_exit_code(self, tiny_artifacts, tmp_path):
@@ -311,6 +324,19 @@ class TestKtsSweepCommand:
         assert code == EXIT_INVALID_CONFIG
         err = capsys.readouterr().err
         assert "--m 20" in err and "--heldout" in err and "10 points" in err
+        assert not out.exists()
+
+    def test_heldout_sharing_a_training_point_exits_2(self, tiny_artifacts, tmp_path,
+                                                      capsys):
+        # W2 against the training set itself would reward memorization
+        out = tmp_path / "sweep.csv"
+        code = main(["kts-sweep", "--model", str(tiny_artifacts["model"]),
+                     "--data", str(tiny_artifacts["data"]),
+                     "--heldout", str(tiny_artifacts["data"]),
+                     "--steps", "10", "--m", "8", "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert "--heldout" in err and "shares 60 of its 60 points" in err and "--data" in err
         assert not out.exists()
 
     def test_heldout_is_required(self, tiny_artifacts, tmp_path, capsys):

@@ -33,6 +33,12 @@ SWEEP = [KtsSchedule()] + [KtsSchedule(alpha0=a, beta0=b) for a in GRID for b in
 RECORD = ("states", "velocities", "power", "kpe_early", "kpe_late", "kpe")
 
 
+def seeded_starts(m, seed):
+    """The starts ``sample_batch`` draws: one child stream of ``seed`` per row."""
+    return np.stack([np.random.default_rng(ss).standard_normal(2)
+                     for ss in np.random.SeedSequence(seed).spawn(m)])
+
+
 def loop_reference(field_fn, m, cfg, tau_split=0.6):
     """Per-trajectory integration with single-row field calls, written out
     apart from the sampler, stacked into an m-row record.  Each energy is
@@ -45,8 +51,7 @@ def loop_reference(field_fn, m, cfg, tau_split=0.6):
     times = np.linspace(0.0, horizon, cfg.steps + 1)
     early = times[:-1] < tau_split
     paths = []
-    for ss in np.random.SeedSequence(cfg.seed).spawn(m):
-        x = np.random.default_rng(ss).standard_normal(2)
+    for x in seeded_starts(m, cfg.seed):
         states, vels, power = [x], [], []
         for t in times[:-1]:
             v = single(x, t)
@@ -128,7 +133,8 @@ class TestShapedField:
         for method in ("euler", "midpoint"):
             cfg = SolverConfig(method=method, steps=10, seed=1)
             trajs = sample_batch(constant_field([0.3, -0.7]), 3, cfg,
-                                 schedules=(KtsSchedule(), KtsSchedule(k=1.0, tau_split=0.3)))
+                                 schedules=(KtsSchedule(tau_split=0.3),
+                                            KtsSchedule(k=1.0, tau_split=0.3)))
             assert len(trajs) == 6
             assert np.array_equal(trajs.velocities, np.tile([0.3, -0.7], (6, 10, 1)))
 
@@ -191,17 +197,18 @@ class TestIntegrate:
 
     def test_energy_split_sums(self):
         cfg = SolverConfig(steps=50)
-        traj = integrate(decay_field, np.array([2.0, -1.0]), cfg, tau_split=0.6)
+        traj = integrate(decay_field, np.array([2.0, -1.0]), cfg, (KtsSchedule(tau_split=0.45),))
+        assert traj.tau_split == 0.45
         assert traj.kpe == pytest.approx(traj.kpe_early + traj.kpe_late, abs=1e-12)
         assert traj.kpe_early > 0 and traj.kpe_late > 0
 
     def test_energy_additive_over_split_point(self):
         # with the split on the grid, early + late equals the full sum exactly
-        cfg = SolverConfig(steps=10)  # grid contains t = 0.5
-        traj = integrate(decay_field, np.array([1.0, 1.0]), cfg, tau_split=0.5)
+        cfg = SolverConfig(steps=10)  # grid contains t = 0.3
+        traj = integrate(decay_field, np.array([1.0, 1.0]), cfg, (KtsSchedule(tau_split=0.3),))
         full = 0.5 * traj.power.sum() * traj.dt
         assert traj.kpe == pytest.approx(full, rel=1e-13)
-        early_steps = traj.times[:-1] < 0.5
+        early_steps = traj.times[:-1] < 0.3
         assert traj.kpe_early == pytest.approx(
             0.5 * traj.power[early_steps].sum() * traj.dt, rel=1e-13)
 
@@ -217,6 +224,9 @@ class TestIntegrate:
         with pytest.raises(IntegrationDiverged) as err:
             integrate(explode, np.zeros(2), SolverConfig(steps=10))
         assert err.value.step == 6
+        # a (d,) start has no row to name
+        assert err.value.trajectory is None
+        assert [(i, e.step, e.trajectory) for i, e in err.value.failures] == [(0, 6, None)]
 
     def test_cum_kpe_monotone(self):
         cfg = SolverConfig(steps=25)
@@ -225,6 +235,31 @@ class TestIntegrate:
         assert len(cum) == 26
         assert np.all(np.diff(cum) >= 0)
         assert cum[-1] == pytest.approx(traj.kpe, rel=1e-12)
+
+    def test_start_shapes(self):
+        cfg = SolverConfig(steps=4)
+        one = integrate(decay_field, [1.0, 2.0], cfg)
+        assert one.states.shape == (5, 2) and np.ndim(one.kpe) == 0
+        rows = integrate(decay_field, [[1.0, 2.0]], cfg)
+        assert rows.states.shape == (1, 5, 2)
+        assert_records_equal(rows[0], one)
+        for empty in (np.empty((0, 2)), np.empty(0), np.zeros((1, 2, 2)), 1.0):
+            with pytest.raises(ValueError, match="start"):
+                integrate(decay_field, empty, cfg)
+
+    def test_schedules_share_one_split(self):
+        cfg = SolverConfig(steps=4)
+        starts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="tau_split"):
+            integrate(decay_field, starts, cfg, (KtsSchedule(tau_split=0.3),
+                                                 KtsSchedule(tau_split=0.45)))
+        with pytest.raises(ValueError, match="tau_split"):
+            sample_batch(decay_field, 3, cfg, (KtsSchedule(), KtsSchedule(tau_split=0.45)))
+        with pytest.raises(ValueError, match="schedules"):
+            integrate(decay_field, starts, cfg, ())
+        # one start takes one schedule: several would need a row axis
+        with pytest.raises(ValueError, match="schedules"):
+            integrate(decay_field, np.zeros(2), cfg, (KtsSchedule(), KtsSchedule()))
 
     def test_midpoint_power_uses_midpoint_evaluation(self):
         # for v(x, t) = t the midpoint power is (t_j + dt/2)^2, not t_j^2
@@ -243,9 +278,7 @@ class TestSampleBatch:
     def test_m1_matches_integrate_on_first_substream(self):
         cfg = SolverConfig(method="midpoint", steps=20, seed=11)
         batch = sample_batch(decay_field, 1, cfg)
-        ss = np.random.SeedSequence(11).spawn(1)[0]
-        x0 = np.random.default_rng(ss).standard_normal(2)
-        solo = integrate(decay_field, x0, cfg)
+        solo = integrate(decay_field, seeded_starts(1, 11)[0], cfg)
         # an integer index drops the row axis: one path, what integrate returns
         assert solo.states.shape == (21, 2) and np.ndim(solo.kpe) == 0
         assert_records_equal(batch[0], solo)
@@ -276,6 +309,18 @@ class TestSampleBatch:
             sample_batch(decay_field, 0, SolverConfig())
         with pytest.raises(ValueError, match="schedules"):
             sample_batch(decay_field, 2, SolverConfig(), schedules=())
+
+    @pytest.mark.parametrize("schedules", [(KtsSchedule(tau_split=0.45),), (
+        KtsSchedule(tau_split=0.45), KtsSchedule(alpha0=0.3, beta0=0.1, tau_split=0.45),
+        KtsSchedule(beta0=0.02, k=1.0, tau_split=0.45))], ids=["one", "three"])
+    @pytest.mark.parametrize("method", ["euler", "midpoint"])
+    def test_is_integrate_on_the_seeded_starts(self, method, schedules):
+        cfg = SolverConfig(method=method, steps=20, seed=12)
+        for field_fn in (decay_field, NeuralVelocityField(init_params(3))):
+            want = sample_batch(field_fn, 6, cfg, schedules)
+            got = integrate(field_fn, seeded_starts(6, 12), cfg, schedules)
+            assert_records_equal(got, want)
+            assert (got.tau_split, got.meta) == (0.45, want.meta)
 
     def test_partial_divergence_leaves_other_rows_alone(self):
         cfg = SolverConfig(steps=10, seed=4)
@@ -378,12 +423,10 @@ class TestBatchMatchesLoop:
     agree to 1e-12."""
 
     @staticmethod
-    def assert_matches(field_fn, m, cfg, schedules=None, tol=0.0):
-        batch = sample_batch(field_fn, m, cfg, schedules=schedules)
-        fields = [field_fn] if schedules is None else \
-            [gained(field_fn, s) for s in schedules]
-        refs = [loop_reference(f, m, cfg) for f in fields]
-        assert len(batch) == len(fields) * m
+    def assert_matches(field_fn, m, cfg, schedules=(KtsSchedule(),), tol=0.0):
+        batch = sample_batch(field_fn, m, cfg, schedules)
+        refs = [loop_reference(gained(field_fn, s), m, cfg, s.tau_split) for s in schedules]
+        assert len(batch) == len(schedules) * m
         for name in RECORD:
             want = np.concatenate([getattr(ref, name) for ref in refs])
             np.testing.assert_allclose(getattr(batch, name), want, rtol=tol, atol=tol,
@@ -410,7 +453,8 @@ class TestBatchMatchesLoop:
         field_fn = EfmField(atoms, neighbors=30)
         cfg = SolverConfig(method="midpoint", steps=100, delta_cut=1e-3, seed=9)
         schedules = (KtsSchedule(alpha0=0.3, beta0=0.1, k=2.0, tau_split=0.45),
-                     KtsSchedule(), KtsSchedule(alpha0=0.02, beta0=0.02))
+                     KtsSchedule(tau_split=0.45),
+                     KtsSchedule(alpha0=0.02, beta0=0.02, tau_split=0.45))
         self.assert_matches(field_fn, 6, cfg, schedules)
 
 
@@ -509,11 +553,13 @@ class TestTraceIO:
 
     def test_summary_fields(self):
         cfg = SolverConfig(steps=8, seed=2)
-        trajs = sample_batch(decay_field, 2, cfg, meta={"field": "test"})
+        trajs = sample_batch(decay_field, 2, cfg, (KtsSchedule(tau_split=0.45),))
         summary = batch_summary(trajs)
         assert len(summary["trajectories"]) == 2
         row = summary["trajectories"][0]
         assert set(row) == {"id", "kpe", "kpe_early", "kpe_late", "endpoint"}
         assert row["kpe"] == pytest.approx(row["kpe_early"] + row["kpe_late"])
-        assert summary["solver"]["field"] == "test"
-        assert summary["solver"]["steps"] == 8
+        # the solver block holds the solver settings and the energy split;
+        # callers add their own labels
+        assert summary["solver"] == {"method": "euler", "steps": 8, "delta_cut": 0.0,
+                                     "tau_split": 0.45}
