@@ -68,8 +68,7 @@ class SolverStageConfig(sampler.SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        sampler.check_count("m", self.m, 1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class ExperimentConfig:
             _check_keys(f"config section {name!r}", keys, getattr(defaults, name))
             try:
                 sections[name] = replace(getattr(defaults, name), **keys)
-            except TypeError as exc:        # e.g. a string compared with a number
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section {name!r}: {exc}") from None
         return cls(**sections)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ class LabeledDataset:
 
 
 def _require_n(n: int) -> None:
-    if n < 10:
-        raise ValueError(f"n must be >= 10, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 10:
+        raise ValueError(f"n must be an integer >= 10, got {n!r}")
 
 
 def check_spec(kind: str, n: int) -> None:

@@ -257,6 +257,8 @@ class EfmField(MixtureModel):
     the query in bridge distance ||x - t x_i|| (weights renormalized over the
     kept set); ``None`` keeps all atoms.  The neighbor set is recomputed at
     every velocity evaluation.  Posteriors and densities use every atom.
+    The field keeps its kernel's block buffer between calls, so one field
+    must not be called from two threads at once.
     """
 
     schedule: GammaSchedule = field(default_factory=linear_schedule, init=False)
@@ -264,6 +266,8 @@ class EfmField(MixtureModel):
     #: the top-K ranking key's -2 atoms^T, (d, N) contiguous, and ||x_i||^2
     _rank_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _rank_offset: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the kernel's block buffer, grown to the largest (rows, N) block asked for
+    _buffer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -271,6 +275,14 @@ class EfmField(MixtureModel):
             raise ValueError(f"neighbors must lie in [1, {self.n_atoms}]")
         object.__setattr__(self, "_rank_matrix", np.ascontiguousarray(-2.0 * self.atoms.T))
         object.__setattr__(self, "_rank_offset", np.square(self.atoms).sum(axis=1))
+        object.__setattr__(self, "_buffer", np.empty(0))
+
+    def _block(self, rows: int) -> np.ndarray:
+        """A (rows, N) work array in the field's buffer, grown if too small."""
+        size = rows * self.n_atoms
+        if len(self._buffer) < size:
+            object.__setattr__(self, "_buffer", np.empty(size))
+        return self._buffer[:size].reshape(rows, self.n_atoms)
 
     def __call__(self, x, t: float) -> np.ndarray:
         # t = 0 is allowed (uniform weights, unit bridge factor); t >= 1 is the
@@ -300,13 +312,14 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     one per row.
 
     The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
-    elements, each built in place, so that no (rows, N) array outgrows the
-    cache.  A top-K block ranks every atom (``_top_k``), then takes direct-
-    difference bridge distances for the K kept atoms only, into the ranking
-    buffer; each is bitwise the full-softmax block's entry.  Top-K rows do
-    not depend on the blocking, except that a one-row block ranks with a
-    matrix-vector product, whose keys can differ in the last bit; that
-    reorders only atoms whose keys agree to within that bit.  A full-softmax
+    elements, each built in place in the field's buffer, so that no
+    (rows, N) array outgrows the cache and no call allocates one.  A top-K
+    block ranks every atom (``_top_k``), then takes direct-difference bridge
+    distances for the K kept atoms only, into the ranking buffer; each is
+    bitwise the full-softmax block's entry.  Top-K rows do not depend on the
+    blocking, except that a one-row block ranks with a matrix-vector
+    product, whose keys can differ in the last bit; that reorders only atoms
+    whose keys agree to within that bit.  A full-softmax
     row's ``w @ atoms`` product may differ in the last bit from one
     whole-array product, since BLAS results can depend on the number of rows.
     """
@@ -314,7 +327,7 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     n_rows, k = len(xs), f.neighbors
     truncate = k is not None and k < f.n_atoms
     step = _row_step(n_rows, f.n_atoms)
-    buf = np.empty((min(step, n_rows), f.n_atoms))
+    buf = f._block(min(step, n_rows))
     out = np.empty(xs.shape)
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]

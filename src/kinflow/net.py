@@ -26,6 +26,7 @@ import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -152,8 +153,24 @@ def _inference_buffers(rows: int):
     flat = np.empty((3, rows * max(HIDDEN_DIMS)))
     pre = [flat[i % 2, :rows * w].reshape(rows, w) for i, w in enumerate(HIDDEN_DIMS)]
     sig = [flat[2, :rows * w].reshape(rows, w) for w in HIDDEN_DIMS]
-    # the output gets its own array, so that it does not hold on to ``flat``
     return pre + [np.empty((rows, STATE_DIM))], sig, pre
+
+
+class _Inference:
+    """The arrays one forward pass writes: the (rows, 18) input block and
+    ``_inference_buffers(rows)``, built again when the number of rows
+    changes."""
+
+    def __init__(self):
+        self.rows = -1
+
+    def fit(self, rows: int):
+        """The input block and the buffers for ``rows`` rows."""
+        if rows != self.rows:
+            self.rows = rows
+            self.inputs = np.empty((rows, LAYER_DIMS[0]))
+            self.cache = _inference_buffers(rows)
+        return self.inputs, self.cache
 
 
 def _forward(params: MlpParams, inputs: np.ndarray, cache) -> np.ndarray:
@@ -196,37 +213,49 @@ def _backward(params: MlpParams, inputs: np.ndarray, cache, d_out: np.ndarray,
             delta = np.multiply(x, dsilu, out=x)
 
 
-def _build_inputs(states: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    return np.concatenate([states, time_encoding(ts)], axis=1)
+def _build_inputs(states: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+    """The (B, 18) input block of the (B, 2) ``states`` at the time ``t``,
+    one for every row or one per row, written into ``out`` if given.  One
+    time is encoded once and broadcast down the block."""
+    out = np.empty((len(states), LAYER_DIMS[0])) if out is None else out
+    out[:, :STATE_DIM] = states
+    out[:, STATE_DIM:] = time_encoding(np.atleast_1d(t))
+    return out
 
 
-def forward(params: MlpParams, z, t) -> np.ndarray:
+def forward(params: MlpParams, z, t, out: _Inference | None = None) -> np.ndarray:
     """Evaluate the velocity at state(s) ``z`` and time(s) ``t``.
 
-    ``z`` may be (2,) or (B, 2); ``t`` a scalar or (B,).  Pure and deterministic.
+    ``z`` may be (2,) or (B, 2); ``t`` a scalar or (B,).  Every array is
+    written into ``out``, an ``_Inference``, or into a fresh one; the result
+    is a copy, which the next call does not change.  Deterministic.
     """
     z_arr = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z_arr)):
         raise ValueError("state must be finite")
     single = z_arr.ndim == 1
     states = z_arr[None, :] if single else z_arr
-    ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(states),))
-    out = _forward(params, _build_inputs(states, ts), _inference_buffers(len(states)))
-    return out[0] if single else out
+    inputs, cache = (_Inference() if out is None else out).fit(len(states))
+    v = _forward(params, _build_inputs(states, t, inputs), cache).copy()
+    return v[0] if single else v
 
 
 @dataclass(frozen=True)
 class NeuralVelocityField:
     """Velocity-field view of trained parameters: field(x, t) -> velocity.
 
-    A one-row call takes the matrix-vector BLAS path, so it can round
-    differently from the same row inside a call of two or more rows.
+    The field owns the workspace its calls write into, so one field must not
+    be called from two threads at once.  A one-row call takes the
+    matrix-vector BLAS path, so it can round differently from the same row
+    inside a call of two or more rows.
     """
 
     params: MlpParams
+    _workspace: _Inference = field(default_factory=_Inference, init=False, repr=False,
+                                   compare=False)
 
     def __call__(self, x, t):
-        return forward(self.params, x, t)
+        return forward(self.params, x, t, self._workspace)
 
 
 class _Workspace:
@@ -303,6 +332,9 @@ class TrainConfig:
         for name, least in (("learning_rate", 0), ("weight_decay", 0),
                             ("batch_size", 1), ("iterations", 0)):
             value = getattr(self, name)
+            if name in ("batch_size", "iterations") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not least <= value < math.inf:     # NaN fails this too
                 raise ValueError(f"{name} must be finite and >= {least}, got {value}")
 

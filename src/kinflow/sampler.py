@@ -24,6 +24,8 @@ split shares one base-field call per solver stage per step.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -32,6 +34,13 @@ import numpy as np
 VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 TRACE_HEADER = ("traj_id", "t", "x", "y", "power", "cum_kpe")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer (not
+    a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class IntegrationDiverged(RuntimeError):
@@ -55,8 +64,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("euler", "midpoint"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_count("steps", self.steps, 1)
         if not (0.0 <= self.delta_cut < 0.5):
             raise ValueError("delta_cut must lie in [0, 0.5)")
 
@@ -71,6 +79,9 @@ class KtsSchedule:
     tau_split: float = 0.6
 
     def __post_init__(self):
+        for name in ("alpha0", "beta0", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha0 < 0 or self.beta0 < 0:
             raise ValueError("alpha0 and beta0 must be >= 0")
         if self.k <= 0:
@@ -145,15 +156,19 @@ def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
     All rows share one field call per solver stage per step, on the rows
     still finite; the identity schedule's gain is exactly 1.  Energies split
     at the schedules' shared ``tau_split``.  A (d,) start takes one schedule
-    and returns one path, without the row axis.  All failures are collected
-    before raising; the error names the first, with ``trajectory`` None for
-    a (d,) start."""
+    and returns one path, without the row axis.  A non-finite start raises
+    ValueError before any field call.  All failures are collected before
+    raising; the error names the first, with ``trajectory`` None for a (d,)
+    start."""
     x0 = np.array(x0, dtype=np.float64)
     single = x0.ndim == 1
     x0 = x0[None, :] if single else x0
     if x0.ndim != 2 or not x0.size:
         raise ValueError(f"x0 must be one (d,) start or a non-empty (m, d) batch, "
                          f"got shape {x0.shape}")
+    bad = np.flatnonzero(~np.isfinite(x0).all(axis=1))
+    if len(bad):
+        raise ValueError(f"x0 must be finite; start {bad[0]} is {x0[bad[0]].tolist()}")
     if not len(schedules) or (single and len(schedules) > 1):
         raise ValueError("schedules must hold one KtsSchedule, or several for (m, d) starts")
     splits = sorted({s.tau_split for s in schedules})
@@ -162,34 +177,39 @@ def integrate(field_fn: VelocityField, x0, cfg: SolverConfig,
     m, dim = x0.shape
     dt = (1.0 - cfg.delta_cut) / cfg.steps
     times = np.linspace(0.0, 1.0 - cfg.delta_cut, cfg.steps + 1)
-    # gain[c, j, k]: schedule c's eta at stage k of step j
+    # gain[i, j, k]: row i's eta at stage k of step j, row i under schedule i // m
     offsets = (0.0, 0.5 * dt) if cfg.method == "midpoint" else (0.0,)
-    gain = np.array([[[kts_eta(s, t + h) for h in offsets] for t in times[:-1]]
-                     for s in schedules])
+    gain = np.repeat([[[kts_eta(s, t + h) for h in offsets] for t in times[:-1]]
+                      for s in schedules], m, axis=0)
 
-    def call(x, t, rows, j, k):
-        v = np.broadcast_to(field_fn(x, t), x.shape).astype(np.float64)
-        v *= gain[rows // m, j, k][:, None]
-        return v
+    def call(x, t, row_gain):
+        # into a new array: the field's result may be a view of x, or a constant
+        return np.multiply(field_fn(x, t), row_gain[:, None], out=np.empty_like(x))
 
     n = m * len(schedules)
     states = np.empty((n, cfg.steps + 1, dim))
     velocities = np.empty((n, cfg.steps, dim))
     states[:, 0] = x = np.tile(x0, (len(schedules), 1))
-    rows, failures = np.arange(n), []
+    # the live rows: a slice until the first row fails, indices after it
+    rows, failures = slice(None), []
     for j, t in enumerate(times[:-1]):
-        v = call(x, t, rows, j, 0)
+        g = gain[rows, j]
+        v = call(x, t, g[:, 0])
         if cfg.method == "midpoint":
             ok = np.isfinite(v).all(axis=1)
+            part = slice(None) if ok.all() else ok
             if ok.any():
-                v[ok] = call(x[ok] + 0.5 * dt * v[ok], t + 0.5 * dt, rows[ok], j, 1)
+                v[part] = call(x[part] + 0.5 * dt * v[part], t + 0.5 * dt, g[part, 1])
         x = x + dt * v
         velocities[rows, j], states[rows, j + 1] = v, x
-        ok = np.isfinite(v).all(axis=1) & np.isfinite(x).all(axis=1)
-        failures += [(int(i), j) for i in rows[~ok]]
-        rows, x = rows[ok], x[ok]
-        if not len(rows):
-            break
+        # dt > 0, so a non-finite velocity leaves a non-finite state
+        ok = np.isfinite(x).all(axis=1)
+        if not ok.all():
+            live = np.arange(n)[rows]
+            failures += [(int(i), j) for i in live[~ok]]
+            rows, x = live[ok], x[ok]
+            if not len(rows):
+                break
     if failures:
         errors = [(i, IntegrationDiverged(step, None if single else i))
                   for i, step in sorted(failures)]

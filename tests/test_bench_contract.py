@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import kinflow
+import kinflow.cli  # noqa: F401  (instrument wraps the cli layer too)
 from kinflow import datasets, net
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -54,18 +55,28 @@ def test_every_traced_name_resolves(targets):
     assert not missing, f"traced names missing from kinflow: {missing}"
 
 
-def test_traced_sample_batch_counts_each_row_once():
+def _assert_traced_rows(field, span_name):
     # sample_batch calls integrate, which is traced too; the field calls
     # inside both spans are counted once, under the one sample_batch span
     tracing = _bench_module("tracing")
     tracer = tracing.Tracer()
-    field = kinflow.EfmField(np.random.default_rng(0).standard_normal((20, 2)))
     with tracing.instrument(tracer, kinflow):
         kinflow.sampler.sample_batch(field, 8, kinflow.SolverConfig(steps=5))
     names = [span[0] for span in tracer.spans]
     assert names.count("sampler.sample_batch") == 1
-    assert names.count("efm.EfmField.__call__") == 5
+    assert names.count(span_name) == 5
     assert tracing.summarize(tracer.spans)["sampler.rows_evaluated"] == 40
+
+
+def test_traced_sample_batch_counts_each_row_once():
+    _assert_traced_rows(kinflow.EfmField(np.random.default_rng(0).standard_normal((20, 2))),
+                        "efm.EfmField.__call__")
+
+
+def test_traced_sample_batch_counts_each_neural_row_once():
+    # the tracer counts a neural field's rows on the module-level net.forward,
+    # from its second positional argument, so the field must call it so
+    _assert_traced_rows(kinflow.NeuralVelocityField(net.init_params(3)), "net.forward")
 
 
 def test_loss_grad_of_a_trained_checkpoint_passes_the_reference(tmp_path):

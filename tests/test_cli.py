@@ -609,6 +609,33 @@ class TestRunPipeline:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, name", [
+        ({"solver": {**TINY["solver"], "steps": 2.5}}, "steps"),
+        ({"solver": {**TINY["solver"], "steps": True}}, "steps"),
+        ({"solver": {**TINY["solver"], "m": 2.5}}, "m"),
+        ({"train": {**TINY["train"], "iterations": 2.5}}, "iterations"),
+        ({"train": {**TINY["train"], "batch_size": 32.0}}, "batch_size"),
+        ({"dataset": {**TINY["dataset"], "n": 200.5}}, "n"),
+        ({"kts": {"alpha0": float("nan")}}, "alpha0"),
+        ({"kts": {"beta0": float("inf")}}, "beta0"),
+        ({"kts": {"k": float("inf")}}, "k"),
+    ], ids=["steps-float", "steps-bool", "m", "iterations", "batch_size", "n",
+            "alpha0-nan", "beta0-inf", "k-inf"])
+    def test_non_integer_count_or_non_finite_gain_exits_2_before_training(
+            self, tmp_path, monkeypatch, capsys, section, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(net, "train", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**TINY, **section}))    # NaN and inf as JSON extensions
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_INVALID_CONFIG
+        err = capsys.readouterr().err
+        assert f"config section {next(iter(section))!r}: {name} must be" in err
+        assert not out.exists()
+
 
 class TestOnePath:
     def test_subcommands_write_what_the_pipeline_writes(self, tmp_path):

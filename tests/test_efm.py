@@ -1,6 +1,8 @@
 """Tests for the mixture, its score, and the closed-form velocity field."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -285,6 +287,27 @@ class TestBlockedKernel:
         # the output plus a few block-sized arrays; a whole (8000, 50)
         # float64 array alone is 3.2 MB
         assert peak <= out.nbytes + 4 * 8 * efm.BLOCK_ELEMS + 65536
+
+    @pytest.mark.parametrize("neighbors", [None, 20])
+    def test_field_keeps_one_block_buffer(self, neighbors):
+        # the buffer lives as long as the field: reused by a block that fits,
+        # replaced by a larger one for a block that does not, freed with it;
+        # every call gives the bits of a fresh field
+        rng = np.random.default_rng(15)
+        atoms = rng.standard_normal((self.N, 2))
+        f = EfmField(atoms, neighbors=neighbors)
+        buffers = []
+        for rows, t in ((40, 0.5), (10, 0.0), (100, 0.9)):
+            xs = rng.standard_normal((rows, 2))
+            got = f(xs, t)
+            assert np.array_equal(got, EfmField(atoms, neighbors=neighbors)(xs, t))
+            buffers.append(f._buffer)
+        assert buffers[1] is buffers[0] and buffers[2] is not buffers[0]
+        assert buffers[2].nbytes == 100 * self.N * 8
+        gone = weakref.ref(buffers.pop())
+        del f, buffers
+        gc.collect()
+        assert gone() is None
 
 
 def broadcast_sq_dists(xs, ys, scale=1.0):

@@ -98,6 +98,29 @@ class TestForward:
             assert np.allclose(batch[i], forward(p, zs[i], float(ts[i])), atol=0)
 
 
+class TestNeuralField:
+    def test_returned_velocity_survives_the_next_call(self):
+        field = net.NeuralVelocityField(init_params(3))
+        rng = np.random.default_rng(2)
+        for rows in ((8, 2), (2,)):
+            v = field(rng.standard_normal(rows), 0.3)
+            kept = v.copy()
+            field(rng.standard_normal(rows), 0.7)
+            assert np.array_equal(v, kept)
+
+    def test_calls_reuse_the_fields_workspace(self):
+        params = init_params(3)
+        field = net.NeuralVelocityField(params)
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((3, 8, 2))
+        got = [field(x, t) for x, t in zip(xs, (0.0, 0.37, 0.99))]
+        inputs = field._workspace.inputs
+        field(xs[0], 0.5)
+        assert field._workspace.inputs is inputs
+        for x, t, v in zip(xs, (0.0, 0.37, 0.99), got):
+            assert np.array_equal(v, forward(params, x, t))
+
+
 class TestLossAndGradients:
     def test_zero_network_loss_is_mean_target_norm(self):
         # with v == 0 the loss estimates E||z - eps||^2 = E||z||^2 + 2
@@ -247,6 +270,12 @@ class TestTraining:
             with pytest.raises(ValueError) as err:
                 TrainConfig(**{name: bad})
             assert str(err.value) == f"{name} must be finite and >= {least}, got {bad}"
+
+    @pytest.mark.parametrize("name", ["batch_size", "iterations"])
+    @pytest.mark.parametrize("bad", [2.5, 32.0, True])
+    def test_counts_must_be_integers(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            TrainConfig(**{name: bad})
 
     def test_zero_iterations_returns_the_initial_parameters(self):
         points = np.random.default_rng(16).standard_normal((20, 2))

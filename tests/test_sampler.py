@@ -102,6 +102,12 @@ class TestKtsGain:
         with pytest.raises(ValueError):
             KtsSchedule(tau_split=1.0)
 
+    @pytest.mark.parametrize("name", ["alpha0", "beta0", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gains_must_be_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            KtsSchedule(**{name: bad})
+
     def test_flow_reversing_landing_rejected(self):
         # at k=3, tau=0.6, eta(1) > 0 needs beta0 < 1 / (e^1.2 - 1) = 0.4310
         assert kts_eta(KtsSchedule(beta0=0.43), 1.0) > 0.0
@@ -246,6 +252,26 @@ class TestIntegrate:
         for empty in (np.empty((0, 2)), np.empty(0), np.zeros((1, 2, 2)), 1.0):
             with pytest.raises(ValueError, match="start"):
                 integrate(decay_field, empty, cfg)
+
+    @pytest.mark.parametrize("kind", ["callable", "efm", "neural"])
+    @pytest.mark.parametrize("method", ["euler", "midpoint"])
+    def test_non_finite_start_raises_before_any_field_call(self, kind, method):
+        field_fn = {"callable": decay_field,
+                    "efm": EfmField(np.random.default_rng(1).standard_normal((20, 2))),
+                    "neural": NeuralVelocityField(init_params(3))}[kind]
+        calls = []
+
+        def counted(x, t):
+            calls.append(t)
+            return field_fn(x, t)
+
+        cfg = SolverConfig(method=method, steps=4)
+        starts = np.array([[0.5, 1.0], [np.nan, 0.0], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match=r"start 1 is \[nan, 0.0\]"):
+            integrate(counted, starts, cfg)
+        with pytest.raises(ValueError, match=r"start 0 is \[-inf, 0.0\]"):
+            integrate(counted, np.array([-np.inf, 0.0]), cfg)
+        assert calls == []
 
     def test_schedules_share_one_split(self):
         cfg = SolverConfig(steps=4)
@@ -466,6 +492,11 @@ class TestSolverConfig:
             SolverConfig(steps=0)
         with pytest.raises(ValueError):
             SolverConfig(delta_cut=0.5)
+
+    @pytest.mark.parametrize("bad", [2.5, 10.0, True, "10"])
+    def test_steps_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^steps must be an integer >= 1, got {bad!r}$"):
+            SolverConfig(steps=bad)
 
 
 class TestTraceIO:
