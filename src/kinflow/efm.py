@@ -313,15 +313,16 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
 
     The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
     elements, each built in place in the field's buffer, so that no
-    (rows, N) array outgrows the cache and no call allocates one.  A top-K
-    block ranks every atom (``_top_k``), then takes direct-difference bridge
-    distances for the K kept atoms only, into the ranking buffer; each is
-    bitwise the full-softmax block's entry.  Top-K rows do not depend on the
-    blocking, except that a one-row block ranks with a matrix-vector
-    product, whose keys can differ in the last bit; that reorders only atoms
-    whose keys agree to within that bit.  A full-softmax
-    row's ``w @ atoms`` product may differ in the last bit from one
-    whole-array product, since BLAS results can depend on the number of rows.
+    (rows, N) array outgrows the cache and the block is not allocated again
+    on every call.  A top-K block ranks every atom (``_top_k``), then takes
+    direct-difference bridge distances for the K kept atoms only, into the
+    ranking buffer; each is bitwise the full-softmax block's entry.  Top-K
+    rows do not depend on the blocking, except that a one-row block ranks
+    with a matrix-vector product, whose keys can differ in the last bit;
+    that reorders only atoms whose keys agree to within that bit.  A
+    full-softmax row's ``w @ atoms`` product may differ in the last bit from
+    one whole-array product, since BLAS results can depend on the number of
+    rows.
     """
     t = np.asarray(t, dtype=np.float64)
     n_rows, k = len(xs), f.neighbors
