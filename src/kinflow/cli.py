@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 stage failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -80,8 +81,10 @@ class DiagConfig:
     eps: float = 0.1
 
     def __post_init__(self):
-        if self.knn_k < 1 or self.k_mem < 2:
-            raise ValueError(f"need knn_k >= 1 and k_mem >= 2, got {self.knn_k}, {self.k_mem}")
+        sampler.check_count("knn_k", self.knn_k, 1)
+        sampler.check_count("k_mem", self.k_mem, 2)
+        if not 0.0 < self.tau_gap <= 1.0:       # NaN fails this too
+            raise ValueError(f"tau_gap must lie in (0, 1], got {self.tau_gap}")
         if not (0.0 < self.eps < 0.5) or not self.kde_bandwidth > 0.0:
             raise ValueError(f"need eps in (0, 0.5) and kde_bandwidth > 0, "
                              f"got {self.eps}, {self.kde_bandwidth}")
@@ -94,6 +97,11 @@ class ExperimentConfig:
     solver: SolverStageConfig = field(default_factory=SolverStageConfig)
     kts: sampler.KtsSchedule = field(default_factory=sampler.KtsSchedule)
     diagnostics: DiagConfig = field(default_factory=DiagConfig)
+
+    def __post_init__(self):
+        for name in ("knn_k", "k_mem"):
+            if getattr(self.diagnostics, name) > self.dataset.n:
+                raise ValueError(f"diagnostics {name} exceeds the dataset's n of {self.dataset.n}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -516,6 +524,7 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     defaults = ExperimentConfig()
     tc, solver, kts, diag = (defaults.train, defaults.solver, defaults.kts,
@@ -525,12 +534,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a stratified 2D dataset CSV")
+    g.set_defaults(handler=_cmd_gen_data)
     g.add_argument("--kind", required=True, choices=datasets.DATASET_KINDS)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train the MLP velocity field")
+    t.set_defaults(handler=_cmd_train)
     t.add_argument("--data", required=True)
     t.add_argument("--iters", type=int, default=tc.iterations)
     t.add_argument("--lr", type=float, default=tc.learning_rate)
@@ -541,6 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--loss-curve", default=None)
 
     s = sub.add_parser("sample", help="integrate trajectories and write traces")
+    s.set_defaults(handler=_cmd_sample)
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="MLP checkpoint path")
     src.add_argument("--efm", help="dataset CSV used as closed-form atoms")
@@ -557,6 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output directory")
 
     d = sub.add_parser("diagnose", help="energy/density statistics from traces")
+    d.set_defaults(handler=_cmd_diagnose)
     d.add_argument("--traces", required=True, help="directory with summary.json")
     d.add_argument("--data", required=True)
     d.add_argument("--heldout", default=None)
@@ -567,6 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
 
     v = sub.add_parser("verify-theory", help="run the numerical bound suites")
+    v.set_defaults(handler=_cmd_verify_theory)
     v.add_argument("--data", default=None, help="CSV atoms for the 2D case")
     v.add_argument("--eps", type=float, default=diag.eps)
     v.add_argument("--dims", default="1,2,5")
@@ -575,6 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", required=True)
 
     k = sub.add_parser("kts-sweep", help="gain-grid sweep on a trained model")
+    k.set_defaults(handler=_cmd_kts_sweep)
     k.add_argument("--model", required=True)
     k.add_argument("--data", required=True)
     k.add_argument("--heldout", required=True,
@@ -588,6 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="full cached pipeline")
+    r.set_defaults(handler=_cmd_run)
     r.add_argument("--config", default=None, help="JSON experiment config")
     r.add_argument("--profile", choices=("full", "ci"), default=None)
     r.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -595,6 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
 
     pl = sub.add_parser("plot", help="render SVG energy/power plots from traces")
+    pl.set_defaults(handler=_cmd_plot)
     pl.add_argument("--traces", required=True, help="comma-separated trace CSVs")
     pl.add_argument("--labels", default=None, help="comma-separated series labels")
     pl.add_argument("--data", default=None, help="dataset CSV for stratum boxes")
@@ -731,29 +748,14 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "sample": _cmd_sample,
-    "diagnose": _cmd_diagnose,
-    "verify-theory": _cmd_verify_theory,
-    "kts-sweep": _cmd_kts_sweep,
-    "run": _cmd_run,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except StageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE_FAILURE
-    except (net.TrainingDiverged, sampler.IntegrationDiverged) as exc:
+    except (StageFailure, net.TrainingDiverged, sampler.IntegrationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
 

@@ -15,11 +15,13 @@ velocity representations are provided:
       u(z, t) = alpha(t) grad log p_t(z) + beta(t) z,
       alpha = gdot sigma^2 / (gamma (1 - gamma)),  beta = gdot / gamma.
 
-The top-K velocity works in two stages.  It ranks the atoms by the key
+One kernel, ``_softmax``, turns a block of squared bridge distances from
+``_sq_dists`` into posteriors in place, with the row peak and sum that
+log p_t needs.  The field's velocity, full and top-K, the posteriors, log p_t
+and the checks in ``theory`` share it; ``check_concentration`` uses the
+schedule's own gamma(t) and sigma^2.  Top-K first ranks the atoms by the key
 ||x_i||^2 - 2 (x / gamma) . x_i, which orders them as the bridge distances
 ||x - gamma x_i|| do, with one BLAS product per block of rows (``_top_k``).
-It then takes direct-difference bridge distances for the K kept atoms only
-(``_sq_dists`` over per-row point sets) and runs the softmax over them.
 
 All operations are pure functions of immutable inputs.  A schedule's gamma
 takes one time or an array of times.  Times are clamped to [1e-9, 1 - 1e-9]
@@ -113,11 +115,13 @@ def _row_step(n_rows: int, n_cols: int) -> int:
     return -(-n_rows // blocks) if n_rows else 1
 
 
-def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
+def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = None,
+              part: np.ndarray | None = None) -> np.ndarray:
     """||x_b - scale * y||^2 of the (B, d) points ``xs`` against the (N, d)
     points ``ys``, or against each row's own points of a (B, K, d) ``ys``,
     (B, N) or (B, K), into ``out`` if given; ``scale`` is 1.0 for plain
-    distances, or a scalar or (B, 1) column of bridge factors.
+    distances, or a scalar or (B, 1) column of bridge factors.  ``part``, of
+    ``out``'s shape, is the partial sums' scratch, allocated if not given.
 
     Direct differences, squared and summed coordinate by coordinate: the
     expanded form ||x||^2 - 2 x.y + ||y||^2 cancels badly for near points.
@@ -127,7 +131,7 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = No
     if xs.shape[1] != ys.shape[-1]:
         raise ValueError(f"points of dimension {xs.shape[1]} against {ys.shape[-1]}")
     out = np.empty((len(xs), ys.shape[-2])) if out is None else out
-    part = np.empty_like(out) if ys.shape[-1] > 1 else None
+    part = np.empty_like(out) if part is None and ys.shape[-1] > 1 else part
     for k in range(ys.shape[-1]):
         dst = out if k == 0 else part
         np.multiply(scale, ys[..., k], out=dst)
@@ -138,30 +142,30 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray, scale, out: np.ndarray | None = No
     return out
 
 
-def _log_weights(m: MixtureModel, zs: np.ndarray, t) -> tuple[np.ndarray, float | np.ndarray]:
-    """Unnormalized log responsibilities of the (B, d) queries at one time or
-    one time per row, (B, N), and sigma^2 (a float or a (B, 1) column)."""
-    g, sigma2 = _time_terms(m, t)
-    logw = _sq_dists(zs, m.atoms, g)
-    np.negative(logw, out=logw)
-    logw /= 2.0 * sigma2
-    return logw, sigma2
-
-
-def _softmax_parts(m: MixtureModel, z, t):
-    """One softmax pass over a (d,) point or a (B, d) batch, at one t or one
-    t per row: exp(log weights - row max) in place, their row sums (dividing
-    by which gives the posteriors), log p_t of each row, and whether ``z``
-    was one point."""
-    z = np.asarray(z, dtype=np.float64)
-    w, sigma2 = _log_weights(m, z.reshape(-1, z.shape[-1]), _check_unit_interval(t))
+def _softmax(w: np.ndarray, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors from a (B, N) block of squared bridge distances, in place,
+    at a scalar or (B, 1) sigma^2; returns each row's peak log weight
+    -d2 / (2 sigma^2) and its sum of exp(log weight - peak)."""
+    np.negative(w, out=w)
+    w /= 2.0 * sigma2
     peak = w.max(axis=1)
     w -= peak[:, None]
     np.exp(w, out=w)
     total = w.sum(axis=1)
+    w /= total[:, None]
+    return peak, total
+
+
+def _softmax_parts(m: MixtureModel, z, t):
+    """The (B, N) posteriors and the (B,) log p_t of a (d,) point or a (B, d)
+    batch at one t or one t per row, and whether ``z`` was one point."""
+    z = np.asarray(z, dtype=np.float64)
+    g, sigma2 = _time_terms(m, _check_unit_interval(t))
+    lam = _sq_dists(z.reshape(-1, z.shape[-1]), m.atoms, g)
+    peak, total = _softmax(lam, sigma2)
     log_p = (peak + np.log(total) - np.log(m.n_atoms)
              - 0.5 * m.dim * np.log(2.0 * np.pi * np.ravel(sigma2)))
-    return w, total, log_p, z.ndim == 1
+    return lam, log_p, z.ndim == 1
 
 
 def posterior_weights(m: MixtureModel, x, t) -> np.ndarray:
@@ -171,9 +175,8 @@ def posterior_weights(m: MixtureModel, x, t) -> np.ndarray:
     (B, N), at one t or at one t per row.  Each row sums to 1 up to
     floating-point rounding; each entry lies in [0, 1].
     """
-    w, total, _, single = _softmax_parts(m, x, t)
-    w /= total[:, None]
-    return w[0] if single else w
+    lam, _, single = _softmax_parts(m, x, t)
+    return lam[0] if single else lam
 
 
 def mixture_log_density(m: MixtureModel, z, t) -> float | np.ndarray:
@@ -182,7 +185,7 @@ def mixture_log_density(m: MixtureModel, z, t) -> float | np.ndarray:
     A float for one (d,) point, a (B,) array for a (B, d) batch at one t or
     at one t per row.
     """
-    _, _, log_p, single = _softmax_parts(m, z, t)
+    _, log_p, single = _softmax_parts(m, z, t)
     return float(log_p[0]) if single else log_p
 
 
@@ -266,7 +269,7 @@ class EfmField(MixtureModel):
     #: the top-K ranking key's -2 atoms^T, (d, N) contiguous, and ||x_i||^2
     _rank_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _rank_offset: np.ndarray = field(init=False, repr=False, compare=False)
-    #: the kernel's block buffer, grown to the largest (rows, N) block asked for
+    #: the kernel's block and partial sums, grown to the largest pair asked for
     _buffer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -277,12 +280,13 @@ class EfmField(MixtureModel):
         object.__setattr__(self, "_rank_offset", np.square(self.atoms).sum(axis=1))
         object.__setattr__(self, "_buffer", np.empty(0))
 
-    def _block(self, rows: int) -> np.ndarray:
-        """A (rows, N) work array in the field's buffer, grown if too small."""
+    def _blocks(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat work arrays of rows * N and rows * cols elements in the field's
+        buffer, which is grown if too small."""
         size = rows * self.n_atoms
-        if len(self._buffer) < size:
-            object.__setattr__(self, "_buffer", np.empty(size))
-        return self._buffer[:size].reshape(rows, self.n_atoms)
+        if len(self._buffer) < size + rows * cols:
+            object.__setattr__(self, "_buffer", np.empty(size + rows * cols))
+        return self._buffer[:size], self._buffer[size:size + rows * cols]
 
     def __call__(self, x, t: float) -> np.ndarray:
         # t = 0 is allowed (uniform weights, unit bridge factor); t >= 1 is the
@@ -298,11 +302,12 @@ class EfmField(MixtureModel):
 def _top_k(f: EfmField, x: np.ndarray, g, out: np.ndarray) -> np.ndarray:
     """Indices of the ``f.neighbors`` atoms nearest to each (B, d) row of
     ``x`` in bridge distance ||x - g x_i||, (B, K) in ``argpartition`` order,
-    ranked in the (B, N) buffer ``out``.  The key ||x_i||^2 - 2 (x / g) . x_i
-    is ||x / g - x_i||^2 less a per-row constant, so one BLAS product orders
-    the atoms as the bridge distances do; at g = 1e-9 (t = 0) it still
-    resolves x . x_i differences of 1e-9, which direct differences cannot."""
-    key = np.matmul(x / g, f._rank_matrix, out=out)
+    ranked in the first B * N elements of the flat buffer ``out``.  The key
+    ||x_i||^2 - 2 (x / g) . x_i is ||x / g - x_i||^2 less a per-row constant,
+    so one BLAS product orders the atoms as the bridge distances do; at
+    g = 1e-9 (t = 0) it still resolves x . x_i differences of 1e-9, which
+    direct differences cannot."""
+    key = np.matmul(x / g, f._rank_matrix, out=out[:len(x) * f.n_atoms].reshape(len(x), -1))
     key += f._rank_offset
     return np.argpartition(key, f.neighbors - 1, axis=1)[:, :f.neighbors]
 
@@ -312,39 +317,33 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     one per row.
 
     The rows are taken in even blocks of at most ``BLOCK_ELEMS`` row x atom
-    elements, each built in place in the field's buffer, so that no
-    (rows, N) array outgrows the cache and the block is not allocated again
-    on every call.  A top-K block ranks every atom (``_top_k``), then takes
-    direct-difference bridge distances for the K kept atoms only, into the
-    ranking buffer; each is bitwise the full-softmax block's entry.  Top-K
-    rows do not depend on the blocking, except that a one-row block ranks
-    with a matrix-vector product, whose keys can differ in the last bit;
-    that reorders only atoms whose keys agree to within that bit.  A
-    full-softmax row's ``w @ atoms`` product may differ in the last bit from
-    one whole-array product, since BLAS results can depend on the number of
-    rows.
+    elements.  A block's distances and ``_sq_dists``' partial sums fill the
+    field's buffer, where ``_softmax`` makes the posteriors, so no (rows, N)
+    array outgrows the cache or is allocated on every call.  A top-K block
+    ranks every atom (``_top_k``), then takes direct-difference bridge
+    distances for the K kept atoms only, into the ranking buffer; each is
+    bitwise the full-softmax block's entry.  Top-K rows do not
+    depend on the blocking, except that a one-row block ranks with a
+    matrix-vector product, whose keys can differ in the last bit; that
+    reorders only atoms whose keys agree to within that bit.  A full-softmax
+    row's ``w @ atoms`` product may differ in the last bit from one
+    whole-array product, since BLAS results can depend on the number of rows.
     """
     t = np.asarray(t, dtype=np.float64)
     n_rows, k = len(xs), f.neighbors
     truncate = k is not None and k < f.n_atoms
     step = _row_step(n_rows, f.n_atoms)
-    buf = f._block(min(step, n_rows))
+    cols = k if truncate else f.n_atoms
+    buf, part = f._blocks(min(step, n_rows), cols)
     out = np.empty(xs.shape)
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
         g, sigma2 = _time_terms(f, tb)
-        if truncate:
-            near = np.take(f.atoms, _top_k(f, x, g, buf[:len(x)]), axis=0)
-            logw = _sq_dists(x, near, g, buf.reshape(-1)[:len(x) * k].reshape(len(x), k))
-        else:
-            logw = _sq_dists(x, f.atoms, g, buf[:len(x)])
-        np.negative(logw, out=logw)
-        logw /= 2.0 * sigma2
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw, out=logw)
-        w /= w.sum(axis=1, keepdims=True)
-        targets = np.einsum("bk,bkd->bd", w, near) if truncate else w @ f.atoms
+        ys = np.take(f.atoms, _top_k(f, x, g, buf), axis=0) if truncate else f.atoms
+        w = _sq_dists(x, ys, g, *(b[:len(x) * cols].reshape(len(x), cols) for b in (buf, part)))
+        _softmax(w, sigma2)
+        targets = np.einsum("bk,bkd->bd", w, ys) if truncate else w @ f.atoms
         targets -= x
         np.divide(targets, 1.0 - tb, out=out[lo:lo + step])
     return out

@@ -31,8 +31,8 @@ import numpy as np
 
 from .efm import (EfmField, MixtureModel, T_CLAMP, _check_unit_interval,
                   _dominant, _efm_rows, _row_step, _score, _score_coeffs,
-                  _softmax_parts, _sq_dists, _velocity, dominance,
-                  mixture_log_density, posterior_weights)
+                  _softmax, _softmax_parts, _sq_dists, _time_terms, _velocity,
+                  dominance, mixture_log_density, posterior_weights)
 
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
@@ -150,8 +150,7 @@ def _check_at_time(m: MixtureModel, zs: np.ndarray, t: float,
                    eps: float) -> list[BoundCheckEntry]:
     """Every pointwise check of the (B, d) queries at one time t, in order.
     Each step is row by row, so an entry does not depend on the batch."""
-    lam, total, log_p, _ = _softmax_parts(m, zs, t)
-    lam /= total[:, None]
+    lam, log_p, _ = _softmax_parts(m, zs, t)
     i_all, lam_star, ok = _dominant(lam, eps)
     dom = np.flatnonzero(ok)
     z, i_star = zs[dom], i_all[dom]
@@ -248,29 +247,29 @@ class ConcentrationReport:
 
 
 def check_concentration(m: MixtureModel, x, ts, margin: float) -> ConcentrationReport:
-    """Check 1 - lambda_i* <= (N - 1) exp(-margin / (2 (1 - t)^2)) on a grid.
+    """Check 1 - lambda_i* <= (N - 1) exp(-margin / (2 sigma_t^2)) on a grid,
+    with the schedule's gamma(t) and sigma_t^2 = (1 - gamma(t))^2.
 
-    ``x`` is a frozen point.  The dominant index is fixed from the first grid
-    point; grid points where the pairwise score margin drops below ``margin``
-    are marked invalid and excluded from the bound check.
+    ``x`` is a frozen point.  One pass of squared bridge distances
+    ||x - gamma(t) x_i||^2 gives i*, the nearest atom at the first grid
+    point, the margins and the posteriors.  Grid points where another atom's
+    distance exceeds i*'s by less than ``margin`` are marked invalid and
+    excluded from the bound check.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if len(ts) == 0:
         raise ValueError("time grid must be non-empty")
-    xs = np.array([x] * len(ts), dtype=np.float64)
-    scores = _sq_dists(xs, m.atoms, ts[:, None])
-    lam = posterior_weights(m, xs, ts)
-    i_star = int(np.argmin(scores[0]))
-    report = ConcentrationReport(i_star=i_star)
-    for t, s, lam_t in zip(ts, scores, lam):
-        others = np.delete(s, i_star)
-        margin_ok = bool(others.size == 0 or (others - s[i_star]).min() >= margin)
-        measured = float(1.0 - lam_t[i_star])
-        bound = float((m.n_atoms - 1) * np.exp(-margin / (2.0 * (1.0 - t) ** 2)))
-        passed = (not margin_ok) or measured <= bound * (1.0 + REL_SLACK) + 1e-300
-        report.entries.append(ConcentrationEntry(float(t), margin_ok, bound,
-                                                 measured, passed))
-    return report
+    g, sigma2 = _time_terms(m, _check_unit_interval(ts))
+    d2 = _sq_dists(np.array([x] * len(ts), dtype=np.float64), m.atoms, g)
+    i_star = int(np.argmin(d2[0]))
+    margin_ok = (np.delete(d2, i_star, axis=1) - d2[:, i_star, None]).min(
+        axis=1, initial=np.inf) >= margin
+    _softmax(d2, sigma2)
+    measured = 1.0 - d2[:, i_star]
+    bound = (m.n_atoms - 1) * np.exp(-margin / (2.0 * sigma2[:, 0]))
+    passed = ~margin_ok | (measured <= bound * (1.0 + REL_SLACK) + 1e-300)
+    return ConcentrationReport(i_star, [ConcentrationEntry(*e) for e in zip(
+        ts.tolist(), margin_ok.tolist(), bound.tolist(), measured.tolist(), passed.tolist())])
 
 
 @dataclass(frozen=True)

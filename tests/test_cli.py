@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline and its file artifacts."""
 
+import argparse
 import json
 import os
 import shutil
@@ -636,6 +637,32 @@ class TestRunPipeline:
         assert f"config section {next(iter(section))!r}: {name} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("blob, name", [
+        ({**TINY, "diagnostics": {"knn_k": 2.5}}, "knn_k"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "k_mem": 2.0}}, "k_mem"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "tau_gap": -1.0}}, "tau_gap"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "tau_gap": float("nan")}}, "tau_gap"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "tau_gap": 1.5}}, "tau_gap"),
+        # the default knn_k of 50 exceeds the 40 points
+        ({k: v for k, v in TINY.items() if k != "diagnostics"}
+         | {"dataset": {**TINY["dataset"], "n": 40}}, "knn_k"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "k_mem": 61}}, "k_mem"),
+    ], ids=["knn_k-float", "k_mem-float", "tau_gap-negative", "tau_gap-nan", "tau_gap-above-1",
+            "knn_k-above-n", "k_mem-above-n"])
+    def test_bad_diagnostics_setting_exits_2_before_training(
+            self, tmp_path, monkeypatch, capsys, blob, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(net, "train", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))    # NaN as a JSON extension
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_INVALID_CONFIG
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOnePath:
     def test_subcommands_write_what_the_pipeline_writes(self, tmp_path):
@@ -715,6 +742,27 @@ class TestExperimentConfig:
         assert (diagnose.k, diagnose.bandwidth, diagnose.tau_gap, diagnose.k_mem) == \
             (diag.knn_k, diag.kde_bandwidth, diag.tau_gap, diag.k_mem)
         assert parse(["verify-theory", "--out", "o"]).eps == diag.eps
+
+    def test_diagnostics_limits_are_inclusive(self):
+        # knn_k and k_mem may equal n and tau_gap may equal 1; a smaller n,
+        # also one that a profile sets, is refused
+        cfg = ExperimentConfig.from_dict({"dataset": {"n": 50},
+                                          "diagnostics": {"k_mem": 50, "tau_gap": 1.0}})
+        assert (cfg.diagnostics.knn_k, cfg.diagnostics.k_mem) == (50, 50)
+        with pytest.raises(ValueError, match="knn_k"):
+            ExperimentConfig.from_dict({"dataset": {"n": 49}})
+        with pytest.raises(ValueError, match="knn_k"):
+            ExperimentConfig.from_dict({"diagnostics": {"knn_k": 800}}).with_profile("ci")
+
+    def test_second_main_call_builds_no_parser(self, monkeypatch, tmp_path):
+        argv = ["verify-theory", "--dims", "0", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_INVALID_CONFIG
+        built = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or real(self, *a, **kw))
+        assert main(argv) == EXIT_INVALID_CONFIG
+        assert built == []
 
     def test_master_seed(self):
         cfg = ExperimentConfig().with_master_seed(100)

@@ -288,6 +288,23 @@ class TestBlockedKernel:
         # float64 array alone is 3.2 MB
         assert peak <= out.nbytes + 4 * 8 * efm.BLOCK_ELEMS + 65536
 
+    def test_warm_full_softmax_call_allocates_no_block(self):
+        # the field's buffer holds both the distances and _sq_dists' partial
+        # sums, so a warm call allocates its output, per-row arrays and the
+        # 64 KiB buffer numpy's ufuncs take for a strided operand; one
+        # (50, 1000) block of this call is 391 KiB
+        rng = np.random.default_rng(16)
+        f = EfmField(rng.standard_normal((1000, 2)))
+        xs = rng.standard_normal((200, 2))
+        f(xs, 0.5)
+        tracemalloc.start()
+        try:
+            f(xs, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 1024
+
     @pytest.mark.parametrize("neighbors", [None, 20])
     def test_field_keeps_one_block_buffer(self, neighbors):
         # the buffer lives as long as the field: reused by a block that fits,
@@ -303,7 +320,9 @@ class TestBlockedKernel:
             assert np.array_equal(got, EfmField(atoms, neighbors=neighbors)(xs, t))
             buffers.append(f._buffer)
         assert buffers[1] is buffers[0] and buffers[2] is not buffers[0]
-        assert buffers[2].nbytes == 100 * self.N * 8
+        # 100 rows of N ranking keys or distances, and of the partial sums
+        # of the N, or K kept, distances
+        assert buffers[2].nbytes == 100 * (self.N + (neighbors or self.N)) * 8
         gone = weakref.ref(buffers.pop())
         del f, buffers
         gc.collect()

@@ -8,7 +8,7 @@ import pytest
 from kinflow import cli, efm, sampler, theory
 from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
                          general_velocity, linear_schedule, mixture_log_density,
-                         mixture_score)
+                         mixture_score, posterior_weights)
 from kinflow.theory import (REL_SLACK, blowup_probe, bound_constants,
                             check_concentration, check_energy_density_bounds,
                             check_local_gaussian_remainder,
@@ -237,6 +237,21 @@ class TestConcentration:
         report = check_concentration(m, np.zeros(2), [0.5, 0.9], margin=5.0)
         assert report.n_margin_invalid == 2
         assert report.all_passed  # nothing valid to check
+
+    def test_quadratic_schedule_uses_its_own_bridge(self):
+        # under gamma = t^2 at t = 0.8, x lies nearer gamma x_1 = (6.4, 0)
+        # than gamma x_0 = 0, so the posterior sits on atom 1, and the bound
+        # takes sigma^2 = (1 - 0.64)^2; the linear bridge t x_i would pick
+        # atom 0 and report 1 - lambda_0 = 0.9999996 against e^-12.5
+        quad = GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)
+        m = mix([[0.0, 0.0], [10.0, 0.0]], schedule=quad)
+        x = np.array([3.5, 0.0])
+        report = check_concentration(m, x, [0.8], margin=1.0)
+        entry = report.entries[0]
+        assert report.i_star == 1 and entry.margin_ok and entry.passed
+        assert entry.bound == pytest.approx(np.exp(-1.0 / (2.0 * 0.36 ** 2)), rel=1e-12)
+        assert entry.measured == pytest.approx(posterior_weights(m, x, 0.8)[0], rel=1e-12)
+        assert entry.measured == pytest.approx(3.7e-7, rel=0.01)
 
     def test_never_violated_on_random_frozen_points(self):
         rng = np.random.default_rng(5)
@@ -556,19 +571,30 @@ class TestBatchedSuite:
     def test_one_posterior_pass_per_time_group(self, monkeypatch):
         # sampling at each t, the checks of each (dim, eps, t) group holding a
         # dominant point, the concentration grid, the blow-up search over all
-        # its times and the integrated trajectory make one log-weight call
-        # apiece per dim; per-point passes would add about five calls per
-        # checked point
+        # its times and the integrated trajectory's densities make one softmax
+        # call apiece per dim; per-point passes would add about five calls per
+        # checked point.  Every block of a field evaluation adds one more.
         atoms, rng = report_atoms(5), np.random.default_rng(5)
         groups = sum(len({t for _, t in sample_dominant_points(
             mix(a), np.linspace(0.1, 0.9, 9), 0.1, 40, rng)[0]}) for a in atoms.values())
-        calls = []
-        real = efm._log_weights
-        monkeypatch.setattr(efm, "_log_weights",
-                            lambda m, zs, t: calls.append(len(zs)) or real(m, zs, t))
+        calls, blocks = [], []
+        real_softmax, real_rows = efm._softmax, efm._efm_rows
+
+        def softmax(w, sigma2):
+            calls.append(len(w))
+            return real_softmax(w, sigma2)
+
+        def efm_rows(f, xs, t):
+            blocks.append(-(-len(xs) // efm._row_step(len(xs), f.n_atoms)))
+            return real_rows(f, xs, t)
+
+        for mod in (efm, theory):
+            monkeypatch.setattr(mod, "_softmax", softmax)
+            monkeypatch.setattr(mod, "_efm_rows", efm_rows)
         report = cli._theory_report(atoms, [0.1], 5)
         searched = len(report["blowup"])
-        assert len(calls) == 3 * (9 + 1 + 1) + groups + searched
+        assert len(blocks) > 3 * 100        # the probes and the 100-step trajectories
+        assert len(calls) == 3 * (9 + 1 + 1) + groups + searched + sum(blocks)
         checked = sum(b["n_checked"] for b in report["bounds"])
         assert checked > 2 * groups and report["all_passed"]
 
@@ -598,7 +624,7 @@ class TestBatchedSuite:
         ("_velocity", lambda real: lambda *a: 1e4 * real(*a), "bounds"),
         # log p_t one nat too high: the log remainder leaves [log(1 - eps), 0]
         ("_softmax_parts",
-         lambda real: lambda *a: (lambda w, tot, lp, one: (w, tot, lp + 1.0, one))(*real(*a)),
+         lambda real: lambda *a: (lambda lam, lp, one: (lam, lp + 1.0, one))(*real(*a)),
          "remainders"),
         # a score shifted far off: the score remainder exceeds its bound
         ("_score", lambda real: lambda *a: real(*a) + 1e6, "remainders"),
