@@ -8,9 +8,10 @@ terminal blow-up bounds, and the measurement layer (rank statistics,
 memorization fraction, exact W2).
 """
 
-from .datasets import (DATASET_KINDS, KdeEstimator, LabeledDataset,
-                       gen_dense_sparse, gen_multiscale_clusters, gen_sandwich,
-                       generate, load_csv, save_csv)
+__version__ = "0.1.0"
+
+from .datasets import (DATASET_KINDS, KdeEstimator, LabeledDataset, generate,
+                       load_csv, save_csv)
 from .diagnostics import (KpeDensityReport, MemorizationReport,
                           UndefinedStatistic, cliffs_delta, cohens_d, exact_w2,
                           f_mem, knn_density, kpe_density_report,
@@ -30,5 +31,3 @@ from .theory import (BoundCheckReport, BoundConstants, blowup_probe,
                      check_local_gaussian_remainder, check_score_remainder,
                      integrated_energy_density, sample_dominant_points,
                      universal_lower_bound_check)
-
-__version__ = "0.1.0"

@@ -28,10 +28,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import datasets, diagnostics, net, sampler, svgplot, theory
+from . import __version__, datasets, diagnostics, net, sampler, svgplot, theory
 from .efm import EfmField
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
@@ -85,9 +83,9 @@ class DiagConfig:
         sampler.check_count("k_mem", self.k_mem, 2)
         if not 0.0 < self.tau_gap <= 1.0:       # NaN fails this too
             raise ValueError(f"tau_gap must lie in (0, 1], got {self.tau_gap}")
-        if not (0.0 < self.eps < 0.5) or not self.kde_bandwidth > 0.0:
-            raise ValueError(f"need eps in (0, 0.5) and kde_bandwidth > 0, "
-                             f"got {self.eps}, {self.kde_bandwidth}")
+        if not 0.0 < self.eps < 0.5:
+            raise ValueError(f"eps must lie in (0, 0.5), got {self.eps}")
+        datasets.check_bandwidth(self.kde_bandwidth)
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,6 @@ def _diagnose(summary_dir: str, data_path: str, heldout_path: str | None,
     report = asdict(diagnostics.kpe_density_report(kpes, endpoints, data,
                                                    knn_k=diag.knn_k,
                                                    kde_bandwidth=diag.kde_bandwidth))
-    del report["n_sparse"], report["n_dense"]       # the report keeps n only
     mem = diagnostics.f_mem(endpoints, data.points, tau_gap=diag.tau_gap,
                             k_mem=diag.k_mem)
     w2 = None if heldout is None else diagnostics.exact_w2(endpoints, heldout[:len(endpoints)])
@@ -416,7 +413,7 @@ def run_pipeline(cfg: ExperimentConfig, outdir: str) -> dict:
     _acquire_lock(lock_path)
     try:
         full = cfg.to_dict()
-        manifest = {"config_hash": config_hash(full), "version": VERSION,
+        manifest = {"config_hash": config_hash(full), "version": __version__,
                     "stages": {}}
         keyed = {**full, "heldout_n": _heldout_n(cfg.solver.m)}
         for name, fn, subtree in PIPELINE_STAGES:
@@ -530,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tc, solver, kts, diag = (defaults.train, defaults.solver, defaults.kts,
                              defaults.diagnostics)
     p = argparse.ArgumentParser(prog="kinflow", description=__doc__)
-    p.add_argument("--version", action="version", version=VERSION)
+    p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a stratified 2D dataset CSV")

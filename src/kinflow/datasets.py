@@ -1,16 +1,18 @@
 """Density-stratified 2D toy datasets and a ground-truth kernel density estimator.
 
-Three generators with explicitly controlled density stratification:
+One table, ``_COMPONENTS``, defines every dataset kind: its components in
+draw order as ``(stratum, share, shape, sd)``.  A component holds
+``int(share * n)`` points, or the rest of ``n`` when ``share`` is None, each a
+draw from ``shape`` plus N(0, sd^2 I) noise.  A shape is None, a fixed centre
+``(x, y)``, an ``("annulus", r_lo, r_hi)`` uniform in radius and angle, or a
+``("rectangle", x_lo, x_hi, y_lo, y_hi)`` uniform in x and y.
+``dense_sparse`` is a tight core (60%) in a wide sparse ring,
+``multiscale_clusters`` a diffuse centre (20%) and four tight clusters, and
+``sandwich`` a dense band (60%) between two sparse bands.
 
-* ``dense_sparse``        -- tight Gaussian core (60%) plus a wide sparse ring (40%)
-* ``multiscale_clusters`` -- diffuse central blob (20%) plus four tight peripheral
-  clusters (20% each)
-* ``sandwich``            -- dense horizontal band (60%) between two sparse bands
-  (20% each)
-
-Every generator is a pure function of ``(kind, n, seed)``: one child RNG stream
-is spawned per component in listed order, so regeneration is bit-identical and
-independent of evaluation order.
+``generate`` draws every component through the same lines, each from its own
+child stream of ``SeedSequence(seed)`` spawned in listed order, so a dataset
+is a pure function of ``(kind, n, seed)``.
 """
 
 from __future__ import annotations
@@ -19,39 +21,48 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .efm import _row_step, _sq_dists
+from .sampler import check_count
 
-DENSE_SPARSE = "dense_sparse"
-MULTISCALE_CLUSTERS = "multiscale_clusters"
-SANDWICH = "sandwich"
-
-DATASET_KINDS = (DENSE_SPARSE, MULTISCALE_CLUSTERS, SANDWICH)
-
-#: stratum labels that are legal for each dataset kind
-STRATA_BY_KIND = {
-    DENSE_SPARSE: ("dense_core", "sparse_ring"),
-    MULTISCALE_CLUSTERS: ("sparse_center", "dense_cluster"),
-    SANDWICH: ("dense_band", "sparse_band"),
+_COMPONENTS = {
+    "dense_sparse": (
+        ("dense_core", 0.6, None, 0.15),
+        ("sparse_ring", None, ("annulus", 2.3, 2.7), 0.5),
+    ),
+    "multiscale_clusters": (
+        ("sparse_center", None, None, 0.6),
+        *(("dense_cluster", 0.2, centre, 0.08)
+          for centre in ((2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0))),
+    ),
+    "sandwich": (
+        ("dense_band", None, ("rectangle", -3.0, 3.0, -0.3, 0.3), 0.1),
+        ("sparse_band", 0.2, ("rectangle", -3.0, 3.0, 1.5, 2.5), 0.3),
+        ("sparse_band", 0.2, ("rectangle", -3.0, 3.0, -2.5, -1.5), 0.3),
+    ),
 }
 
-_CLUSTER_CENTERS = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
+DATASET_KINDS = tuple(_COMPONENTS)
+
+#: stratum labels that are legal for each dataset kind, in draw order
+STRATA_BY_KIND = {kind: tuple(dict.fromkeys(c[0] for c in comps))
+                  for kind, comps in _COMPONENTS.items()}
 
 CSV_HEADER = ("x", "y", "stratum")
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """2D points with per-point density-stratum labels and generator provenance."""
+    """2D points with per-point density-stratum labels."""
 
     points: np.ndarray          # (n, 2) float64
     strata: tuple[str, ...]     # length n
     kind: str
     seed: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -75,105 +86,52 @@ class LabeledDataset:
         return np.array([s == stratum for s in self.strata])
 
 
-def _require_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 10:
-        raise ValueError(f"n must be an integer >= 10, got {n!r}")
-
-
 def check_spec(kind: str, n: int) -> None:
     """Raise ValueError unless ``generate`` can make ``n`` points of ``kind``."""
-    if kind not in DATASET_KINDS:
+    if kind not in _COMPONENTS:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
-    _require_n(n)
+    check_count("n", n, 10)
 
 
-def gen_dense_sparse(n: int, seed: int) -> LabeledDataset:
-    """Dense Gaussian core (60%, sigma 0.15) plus sparse perturbed ring (40%).
-
-    Ring points are drawn with radius uniform on [2.3, 2.7] and angle uniform
-    on [0, 2pi), then perturbed by N(0, 0.5^2 I).  Uniform-in-radius is the
-    annulus sampling convention recorded in the provenance.
-    """
-    _require_n(n)
-    n_core = int(0.6 * n)
-    n_ring = n - n_core
-    core_ss, ring_ss = np.random.SeedSequence(seed).spawn(2)
-
-    core = 0.15 * np.random.default_rng(core_ss).standard_normal((n_core, 2))
-
-    rng = np.random.default_rng(ring_ss)
-    r = rng.uniform(2.3, 2.7, n_ring)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_ring)
-    ring = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-    ring = ring + 0.5 * rng.standard_normal((n_ring, 2))
-
-    points = np.concatenate([core, ring])
-    strata = ("dense_core",) * n_core + ("sparse_ring",) * n_ring
-    return LabeledDataset(points, strata, DENSE_SPARSE, seed,
-                          provenance={"annulus_sampling": "uniform-in-radius"})
-
-
-def gen_multiscale_clusters(n: int, seed: int) -> LabeledDataset:
-    """Diffuse center (20%, sigma 0.6) plus four tight clusters (20% each, sigma 0.08).
-
-    Cluster centers are (2,0), (0,2), (-2,0), (0,-2).  The rounding remainder
-    goes to the first-listed component (the sparse center).
-    """
-    _require_n(n)
-    n_grp = int(0.2 * n)
-    n_center = n - 4 * n_grp
-    streams = np.random.SeedSequence(seed).spawn(5)
-
-    center = 0.6 * np.random.default_rng(streams[0]).standard_normal((n_center, 2))
-    clusters = [
-        c + 0.08 * np.random.default_rng(ss).standard_normal((n_grp, 2))
-        for c, ss in zip(_CLUSTER_CENTERS, streams[1:])
-    ]
-
-    points = np.concatenate([center] + clusters)
-    strata = ("sparse_center",) * n_center + ("dense_cluster",) * (4 * n_grp)
-    return LabeledDataset(points, strata, MULTISCALE_CLUSTERS, seed)
-
-
-def gen_sandwich(n: int, seed: int) -> LabeledDataset:
-    """Dense middle band (60%) between sparse top and bottom bands (20% each).
-
-    Middle: x ~ U[-3,3], y ~ U[-0.3,0.3], plus N(0, 0.1^2 I).
-    Top/bottom: x ~ U[-3,3], y ~ U[1.5,2.5] / U[-2.5,-1.5], plus N(0, 0.3^2 I).
-    """
-    _require_n(n)
-    n_mid = int(0.6 * n)
-    n_top = int(0.2 * n)
-    n_bot = int(0.2 * n)
-    n_mid += n - (n_mid + n_top + n_bot)
-    streams = np.random.SeedSequence(seed).spawn(3)
-
-    def band(ss, count, y_lo, y_hi, noise):
-        rng = np.random.default_rng(ss)
-        x = rng.uniform(-3.0, 3.0, count)
-        y = rng.uniform(y_lo, y_hi, count)
-        return np.stack([x, y], axis=1) + noise * rng.standard_normal((count, 2))
-
-    mid = band(streams[0], n_mid, -0.3, 0.3, 0.1)
-    top = band(streams[1], n_top, 1.5, 2.5, 0.3)
-    bot = band(streams[2], n_bot, -2.5, -1.5, 0.3)
-
-    points = np.concatenate([mid, top, bot])
-    strata = ("dense_band",) * n_mid + ("sparse_band",) * (n_top + n_bot)
-    return LabeledDataset(points, strata, SANDWICH, seed)
-
-
-_GENERATORS = {
-    DENSE_SPARSE: gen_dense_sparse,
-    MULTISCALE_CLUSTERS: gen_multiscale_clusters,
-    SANDWICH: gen_sandwich,
-}
+def _shape_draw(shape, count: int, rng: np.random.Generator):
+    """``count`` draws from a component's shape; None for no shape."""
+    if shape is None:
+        return None
+    if shape[0] == "annulus":
+        r = rng.uniform(shape[1], shape[2], count)
+        theta = rng.uniform(0.0, 2.0 * np.pi, count)
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    if shape[0] == "rectangle":
+        x = rng.uniform(shape[1], shape[2], count)
+        y = rng.uniform(shape[3], shape[4], count)
+        return np.stack([x, y], axis=1)
+    return np.array(shape)
 
 
 def generate(kind: str, n: int, seed: int) -> LabeledDataset:
-    """Dispatch to the generator for ``kind``."""
+    """``n`` points of dataset ``kind``, drawn from seed ``seed``."""
     check_spec(kind, n)
-    return _GENERATORS[kind](n, seed)
+    components = _COMPONENTS[kind]
+    counts = [None if share is None else int(share * n) for _, share, _, _ in components]
+    rest = n - sum(k for k in counts if k is not None)
+    counts = [rest if k is None else k for k in counts]
+    streams = np.random.SeedSequence(seed).spawn(len(components))
+    parts, strata = [], ()
+    for (stratum, _, shape, sd), count, ss in zip(components, counts, streams):
+        rng = np.random.default_rng(ss)
+        base = _shape_draw(shape, count, rng)
+        noise = sd * rng.standard_normal((count, 2))
+        parts.append(noise if base is None else base + noise)
+        strata += (stratum,) * count
+    return LabeledDataset(np.concatenate(parts), strata, kind, seed)
+
+
+def check_bandwidth(h) -> None:
+    """Raise ValueError, naming ``kde_bandwidth``, unless ``h`` > 0 and h^2 is a
+    finite, normal float (not so for 1e300, 1e-160 or 1e-200)."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not h > 0 \
+            or not sys.float_info.min <= float(h) * float(h) < math.inf:
+        raise ValueError(f"kde_bandwidth must be > 0 with a finite, normal square, got {h!r}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +148,7 @@ class KdeEstimator:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or len(pts) == 0:
             raise ValueError("reference set must be a non-empty (n, d) array")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        check_bandwidth(self.bandwidth)
         object.__setattr__(self, "points", pts)
 
     def density(self, q) -> np.ndarray | float:
@@ -227,10 +184,7 @@ def infer_kind(strata) -> str:
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a dataset written by :func:`save_csv` (lossless round trip).
-
-    The kind is inferred from the stratum labels.
-    """
+    """Read a dataset written by :func:`save_csv`, inferring its kind from the labels."""
     with open(path, newline="") as fh:
         return loads_csv(fh.read())
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .datasets import KdeEstimator, LabeledDataset
 from .efm import _sq_dists
+from .sampler import check_count
 
 #: combined sample size at or below which the Mann-Whitney p-value is exact
 MWU_EXACT_LIMIT = 20
@@ -37,7 +38,8 @@ def knn_density(train, q, k: int) -> float | np.ndarray:
     train = np.asarray(train, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n, d = train.shape
-    if not 1 <= k <= n:
+    check_count("k", k, 1)
+    if k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     d2 = _sq_dists(q.reshape(-1, q.shape[-1]), train, 1.0)
     d2.partition(k - 1, axis=1)
@@ -164,7 +166,8 @@ def f_mem(generated, train, tau_gap: float = 1.0 / 3.0,
     """
     generated = np.asarray(generated, dtype=np.float64)
     train = np.asarray(train, dtype=np.float64)
-    if k_mem < 2 or len(train) < k_mem:
+    check_count("k_mem", k_mem, 2)
+    if len(train) < k_mem:
         raise ValueError(f"need len(train) >= k_mem >= 2, got {len(train)}, {k_mem}")
     d2 = _sq_dists(generated, train, 1.0)
     d2.partition(k_mem - 1, axis=1)
@@ -212,8 +215,6 @@ class KpeDensityReport:
     mwu_p: float
     cohens_d: float       # d(KPE sparse, KPE dense)
     n: int
-    n_sparse: int
-    n_dense: int
     mean_kpe_sparse: float
     mean_kpe_dense: float
 
@@ -249,7 +250,5 @@ def kpe_density_report(kpes, endpoints, dataset: LabeledDataset,
     d_eff = cohens_d(kpe_sparse, kpe_dense)
     return KpeDensityReport(
         rho_knn=rho_knn, rho_kde=rho_kde, cliffs_delta=delta, mwu_u=u, mwu_p=p,
-        cohens_d=d_eff, n=len(kpes), n_sparse=int(sparse_mask.sum()),
-        n_dense=int((~sparse_mask).sum()),
-        mean_kpe_sparse=float(kpe_sparse.mean()),
+        cohens_d=d_eff, n=len(kpes), mean_kpe_sparse=float(kpe_sparse.mean()),
         mean_kpe_dense=float(kpe_dense.mean()))

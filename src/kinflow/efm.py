@@ -36,6 +36,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sampler import check_count
+
 #: clamp applied to t inside density/score evaluation (not velocity scaling)
 T_CLAMP = 1e-9
 
@@ -274,8 +276,10 @@ class EfmField(MixtureModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.neighbors is not None and not (1 <= self.neighbors <= self.n_atoms):
-            raise ValueError(f"neighbors must lie in [1, {self.n_atoms}]")
+        if self.neighbors is not None:
+            check_count("neighbors", self.neighbors, 1)
+            if self.neighbors > self.n_atoms:
+                raise ValueError(f"neighbors must lie in [1, {self.n_atoms}]")
         object.__setattr__(self, "_rank_matrix", np.ascontiguousarray(-2.0 * self.atoms.T))
         object.__setattr__(self, "_rank_offset", np.square(self.atoms).sum(axis=1))
         object.__setattr__(self, "_buffer", np.empty(0))

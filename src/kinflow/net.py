@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sampler import check_count
+
 HIDDEN_DIMS = (128, 256, 256, 128)
 TIME_ENC_DIM = 16
 STATE_DIM = 2
@@ -292,8 +294,7 @@ def cfm_loss_grad(params: MlpParams, points: np.ndarray, batch: int,
     points = np.asarray(points, dtype=np.float64)
     if len(points) == 0:
         raise ValueError("dataset must be non-empty")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    check_count("batch", batch, 1)
     ws = _Workspace(batch, params.weights[0].dtype) if out is None else out
     idx = rng.integers(0, len(points), batch)
     t = rng.random(out=ws.t)

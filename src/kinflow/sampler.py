@@ -89,10 +89,9 @@ class KtsSchedule:
         if not (0.0 < self.tau_split < 1.0):
             raise ValueError("tau_split must lie in (0, 1)")
         # eta falls monotonically after the split; eta(1) > 0 keeps it positive
-        landing = self.beta0 * (np.exp(self.k * (1.0 - self.tau_split)) - 1.0)
-        if landing >= 1.0:
+        if (eta1 := kts_eta(self, 1.0)) <= 0.0:
             raise ValueError(f"beta0={self.beta0} reverses the flow: eta(1) = "
-                             f"{1.0 - landing:.3g} <= 0")
+                             f"{eta1:.3g} <= 0")
 
 
 def kts_eta(s: KtsSchedule, t: float) -> float:
@@ -236,8 +235,7 @@ def sample_batch(field_fn: VelocityField, m: int, cfg: SolverConfig,
     (stream i = SeedSequence(seed).spawn(m)[i]), so results do not depend on
     execution order.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_count("m", m, 1)
     x0 = np.stack([np.random.default_rng(ss).standard_normal(2)
                    for ss in np.random.SeedSequence(cfg.seed).spawn(m)])
     return integrate(field_fn, x0, cfg, schedules)

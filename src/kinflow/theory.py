@@ -33,6 +33,7 @@ from .efm import (EfmField, MixtureModel, T_CLAMP, _check_unit_interval,
                   _dominant, _efm_rows, _row_step, _score, _score_coeffs,
                   _softmax, _softmax_parts, _sq_dists, _time_terms, _velocity,
                   dominance, mixture_log_density, posterior_weights)
+from .sampler import check_count
 
 #: relative slack for exact pointwise inequalities
 REL_SLACK = 1e-9
@@ -418,6 +419,7 @@ def sample_dominant_points(m: MixtureModel, ts, eps: float, per_time: int,
     Returns (points, n_rejected) where points is a list of (z, t) pairs that
     pass the dominance filter.
     """
+    check_count("per_time", per_time, 1)
     points = []
     rejected = 0
     for t in ts:

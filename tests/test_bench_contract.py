@@ -96,3 +96,16 @@ def test_loss_grad_of_a_trained_checkpoint_passes_the_reference(tmp_path):
         problems += reference.check_loss_grad(layers, points, 64, seed, loss,
                                               list(zip(grads.weights, grads.biases)))
     assert problems == []
+
+
+@pytest.mark.parametrize("kind", datasets.DATASET_KINDS)
+def test_generate_matches_the_reference_generators(kind):
+    # bench/reference.py writes each generator out by hand; kinflow's table
+    # must draw the same points and labels, bit for bit
+    reference = _bench_module("reference")
+    for n in [*range(10, 60), 137, 1001, 4000]:
+        for seed in (0, 7, 29001):
+            got = datasets.generate(kind, n, seed)
+            points, labels = reference.dataset(kind, n, seed)
+            assert np.array_equal(got.points, points), (kind, n, seed)
+            assert list(got.strata) == labels, (kind, n, seed)

@@ -197,6 +197,18 @@ class TestDiagnoseCommand:
         assert "--heldout" in err and "10 points" in err and "40 trajectories" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bandwidth", ["inf", "1e300", "1e-200"])
+    def test_bandwidth_without_a_finite_positive_square_exits_2(
+            self, tiny_artifacts, tmp_path, capsys, bandwidth):
+        # inf makes the KDE constant, 1e300 overflows h^2 and 1e-200 underflows it
+        out = tmp_path / "report.json"
+        code = main(["diagnose", "--traces", str(tiny_artifacts["traces"]),
+                     "--data", str(tiny_artifacts["data"]), "--k", "10",
+                     "--bandwidth", bandwidth, "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert "kde_bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyTheoryCommand:
     def test_report_and_exit_code(self, tiny_artifacts, tmp_path):
@@ -647,8 +659,13 @@ class TestRunPipeline:
         ({k: v for k, v in TINY.items() if k != "diagnostics"}
          | {"dataset": {**TINY["dataset"], "n": 40}}, "knn_k"),
         ({**TINY, "diagnostics": {"knn_k": 10, "k_mem": 61}}, "k_mem"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "kde_bandwidth": float("inf")}},
+         "kde_bandwidth"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "kde_bandwidth": 1e300}}, "kde_bandwidth"),
+        ({**TINY, "diagnostics": {"knn_k": 10, "kde_bandwidth": 1e-200}}, "kde_bandwidth"),
     ], ids=["knn_k-float", "k_mem-float", "tau_gap-negative", "tau_gap-nan", "tau_gap-above-1",
-            "knn_k-above-n", "k_mem-above-n"])
+            "knn_k-above-n", "k_mem-above-n", "kde_bandwidth-inf", "kde_bandwidth-1e300",
+            "kde_bandwidth-1e-200"])
     def test_bad_diagnostics_setting_exits_2_before_training(
             self, tmp_path, monkeypatch, capsys, blob, name):
         def refuse(*args, **kwargs):
@@ -656,7 +673,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(net, "train", refuse)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(blob))    # NaN as a JSON extension
+        cfg_path.write_text(json.dumps(blob))    # NaN and inf as JSON extensions
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) \
             == EXIT_INVALID_CONFIG

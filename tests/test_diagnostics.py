@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinflow import diagnostics
-from kinflow.datasets import gen_dense_sparse
+from kinflow.datasets import generate
 from kinflow.diagnostics import (UndefinedStatistic, _midranks, cliffs_delta,
                                  cohens_d, exact_w2, f_mem, knn_density,
                                  kpe_density_report, mann_whitney_u, spearman)
@@ -382,7 +382,7 @@ class TestKpeDensityReport:
     def test_monotone_construction_gives_perfect_inverse(self):
         # endpoints exactly on training points whose density orders them, and
         # energies built as a decreasing function of that density
-        data = gen_dense_sparse(200, 3)
+        data = generate("dense_sparse", 200, 3)
         endpoints = data.points[90:150]  # spans the core/ring boundary
         from kinflow.datasets import KdeEstimator
         dens = KdeEstimator(data.points, 0.1).density(endpoints)
@@ -394,18 +394,18 @@ class TestKpeDensityReport:
         assert report.cliffs_delta < 0  # dense energies sit below sparse ones
 
     def test_degenerate_kpes_rejected(self):
-        data = gen_dense_sparse(100, 4)
+        data = generate("dense_sparse", 100, 4)
         endpoints = data.points[:40]
         with pytest.raises(UndefinedStatistic):
             kpe_density_report(np.ones(40), endpoints, data)
 
     def test_minimum_size(self):
-        data = gen_dense_sparse(100, 4)
+        data = generate("dense_sparse", 100, 4)
         with pytest.raises(ValueError):
             kpe_density_report(np.ones(10), data.points[:10], data)
 
     def test_one_knn_call_per_report(self, monkeypatch):
-        data = gen_dense_sparse(200, 3)
+        data = generate("dense_sparse", 200, 3)
         calls = []
         knn = diagnostics.knn_density
         monkeypatch.setattr(diagnostics, "knn_density",
@@ -414,7 +414,7 @@ class TestKpeDensityReport:
         assert len(calls) == 1 and np.shape(calls[0][1]) == (60, 2)
 
     def test_no_broadcast_temporary(self):
-        data = gen_dense_sparse(4000, 3)
+        data = generate("dense_sparse", 4000, 3)
         rng = np.random.default_rng(6)
         endpoints = data.points[rng.choice(4000, 100, replace=False)] \
             + 0.05 * rng.standard_normal((100, 2))

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinflow.datasets import generate
+from kinflow.diagnostics import f_mem, knn_density
 from kinflow.efm import EfmField
-from kinflow.net import NeuralVelocityField, init_params
+from kinflow.net import NeuralVelocityField, cfm_loss_grad, init_params
 from kinflow.sampler import (TRACE_HEADER, IntegrationDiverged, KtsSchedule,
                              SolverConfig, Trajectory, batch_summary, integrate,
                              kts_eta, load_traces, sample_batch, save_traces)
+from kinflow.theory import sample_dominant_points
 
 
 def constant_field(v):
@@ -594,3 +597,32 @@ class TestTraceIO:
         # callers add their own labels
         assert summary["solver"] == {"method": "euler", "steps": 8, "delta_cut": 0.0,
                                      "tau_split": 0.45}
+
+
+_ATOMS = np.random.default_rng(0).standard_normal((12, 2))
+_COUNT_CALLS = {
+    "sample_batch": lambda v: sample_batch(constant_field([1.0, 0.0]), v, SolverConfig(steps=2)),
+    "cfm_loss_grad": lambda v: cfm_loss_grad(init_params(0), _ATOMS, v,
+                                             np.random.default_rng(0)),
+    "EfmField": lambda v: EfmField(_ATOMS, neighbors=v),
+    "knn_density": lambda v: knn_density(_ATOMS, _ATOMS[:3], v),
+    "f_mem": lambda v: f_mem(_ATOMS[:3], _ATOMS, k_mem=v),
+    "sample_dominant_points": lambda v: sample_dominant_points(
+        EfmField(_ATOMS), [0.5], 0.1, v, np.random.default_rng(0)),
+    "generate": lambda v: generate("dense_sparse", v, 0),
+}
+
+
+@pytest.mark.parametrize("call, name, value", [
+    ("sample_batch", "m", 2.5), ("sample_batch", "m", True),
+    ("cfm_loss_grad", "batch", 2.5),
+    ("EfmField", "neighbors", 2.5), ("EfmField", "neighbors", True),
+    ("knn_density", "k", 2.5), ("f_mem", "k_mem", 2.5),
+    ("sample_dominant_points", "per_time", 2.5),
+    ("generate", "n", 10.0), ("generate", "n", 9),
+])
+def test_count_arguments_share_one_rule(call, name, value):
+    # each count goes through check_count, so a float or a bool fails at once,
+    # naming the argument, not deep inside numpy, and a bool never counts as 1
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got {value!r}$"):
+        _COUNT_CALLS[call](value)
