@@ -161,7 +161,10 @@ class KdeEstimator:
         step = _row_step(len(qs), len(self.points))
         for lo in range(0, len(qs), step):
             d2 = _sq_dists(qs[lo:lo + step], self.points, 1.0)
-            out[lo:lo + step] = norm * np.exp(-d2 / (2.0 * h2)).sum(axis=1)
+            # far pairs overflow to -inf at a tiny bandwidth, where exp's
+            # limit 0 is exact
+            with np.errstate(over="ignore"):
+                out[lo:lo + step] = norm * np.exp(-d2 / (2.0 * h2)).sum(axis=1)
         return float(out[0]) if q.ndim == 1 else out
 
 

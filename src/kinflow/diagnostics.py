@@ -237,8 +237,12 @@ def kpe_density_report(kpes, endpoints, dataset: LabeledDataset,
 
     knn = knn_density(dataset.points, endpoints, knn_k)
     kde = KdeEstimator(dataset.points, kde_bandwidth).density(endpoints)
-    rho_knn, rho_kde = (spearman(kpes, np.log(np.maximum(dens, DENSITY_FLOOR)))
-                        for dens in (knn, kde))
+    log_knn, log_kde = (np.log(np.maximum(dens, DENSITY_FLOOR)) for dens in (knn, kde))
+    if np.all(log_kde == log_kde[0]):
+        raise UndefinedStatistic(
+            f"kde_bandwidth {kde_bandwidth!r} gives every endpoint the same KDE density "
+            f"(floored at {DENSITY_FLOOR}), so rho_kde is undefined")
+    rho_knn, rho_kde = spearman(kpes, log_knn), spearman(kpes, log_kde)
 
     sparse_mask = np.char.startswith(nearest_strata(endpoints, dataset), "sparse")
     kpe_sparse = kpes[sparse_mask]

@@ -23,7 +23,7 @@ split shares one base-field call per solver stage per step.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -34,6 +34,9 @@ import numpy as np
 VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 TRACE_HEADER = ("traj_id", "t", "x", "y", "power", "cum_kpe")
+
+#: trace rows formatted per write
+_TRACE_BLOCK = 2048
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -248,29 +251,46 @@ def save_traces(batch: Trajectory, path) -> None:
     the power of the step that produced it (0 for the initial row), and
     cum_kpe is the energy accumulated up to that grid point.  Floats are
     written as their shortest round-trip ``repr`` and rows end in ``\\r\\n``,
-    as ``csv.writer`` writes them.
+    as ``csv.writer`` writes them.  Rows are formatted and written a block
+    at a time, so beside the (rows, 6) table a save holds one block's text
+    (a tracemalloc peak of about 3 MB for 500 paths of 100 Euler steps).
     """
     m, points = batch.states.shape[:2]
-    table = np.column_stack([
-        np.repeat(np.arange(m), points), np.tile(batch.times, m),
-        batch.states[..., 0].ravel(), batch.states[..., 1].ravel(),
-        np.insert(batch.power, 0, 0.0, axis=1).ravel(), batch.cum_kpe().ravel()]).tolist()
+    # filled column by column, so that no column is held twice
+    table = np.empty((m, points, len(TRACE_HEADER)))
+    table[..., 0] = np.arange(m)[:, None]
+    table[..., 1] = batch.times
+    table[..., 2:4] = batch.states
+    table[:, 0, 4] = 0.0
+    table[:, 1:, 4] = batch.power
+    table[..., 5] = batch.cum_kpe()
+    table = table.reshape(m * points, len(TRACE_HEADER))
     row = "%d,%r,%r,%r,%r,%r\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\r\n"
-                 + "".join([row % tuple(vals) for vals in table]))
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for lo in range(0, len(table), _TRACE_BLOCK):
+            fh.write("".join([row % tuple(vals)
+                              for vals in table[lo:lo + _TRACE_BLOCK].tolist()]))
 
 
 def load_traces(path) -> list[dict]:
-    """Read a trace file into one dict of arrays per trajectory, in id order."""
+    """Read a trace file into one dict of arrays per trajectory, in id order.
+
+    The rows are parsed from the open file, not from a copy of its text, so
+    a read holds the (rows, 6) table and its sorted copy (a tracemalloc
+    peak of about 5 MB for 500 paths of 100 Euler steps).  A file with no
+    row after its header gives [].
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header) != TRACE_HEADER:
             raise ValueError(f"expected header {','.join(TRACE_HEADER)!r}, got {header}")
-        body = fh.read()
-    if not body.strip():
-        return []
-    table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        # numpy warns on a body with no rows, so find the first one here
+        while (line := fh.readline()) and not line.strip():
+            pass
+        if not line:
+            return []
+        table = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
     # a stable sort keeps each trajectory's rows in file order
     table = table[np.argsort(table[:, 0], kind="stable")]
     ids, starts = np.unique(table[:, 0], return_index=True)

@@ -7,14 +7,16 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kinflow import datasets, net, sampler, theory
 from kinflow.cli import (EXIT_CHECK_FAILURE, EXIT_INVALID_CONFIG, EXIT_OK,
-                         ExperimentConfig, StageFailure, _build_parser, config_hash,
-                         emit_plots, main, run_pipeline, stage_gen, stage_verify)
+                         EXIT_STAGE_FAILURE, ExperimentConfig, StageFailure, _build_parser,
+                         config_hash, emit_plots, main, run_pipeline, stage_gen,
+                         stage_verify)
 
 TINY = {
     "dataset": {"kind": "dense_sparse", "n": 60, "seed": 7},
@@ -69,13 +71,13 @@ class TestTrainCommand:
         params = net.load_checkpoint(model)
         assert params.weights[0].shape == (18, 128)
         loss_csv = str(model).replace(".ckpt", "_loss.csv")
-        lines = open(loss_csv).read().strip().splitlines()
+        lines = Path(loss_csv).read_text().strip().splitlines()
         assert lines[0] == "iter,loss"
         assert len(lines) == 41
 
     def test_loss_curve_is_numeric(self, tiny_artifacts):
         loss_csv = str(tiny_artifacts["model"]).replace(".ckpt", "_loss.csv")
-        rows = open(loss_csv).read().strip().splitlines()[1:]
+        rows = Path(loss_csv).read_text().strip().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(range(40))
         assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
 
@@ -106,7 +108,7 @@ class TestTrainCommand:
 class TestSampleCommand:
     def test_trace_files(self, tiny_artifacts):
         traces = tiny_artifacts["traces"]
-        rows = open(traces / "traces.csv").read().splitlines()
+        rows = (traces / "traces.csv").read_text().splitlines()
         assert rows[0] == "traj_id,t,x,y,power,cum_kpe"
         assert len(rows) == 1 + 40 * 11
         summary = json.loads((traces / "summary.json").read_text())
@@ -209,6 +211,17 @@ class TestDiagnoseCommand:
         assert "kde_bandwidth" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bandwidth", ["1e20", "1.5e-154"])
+    def test_bandwidth_that_makes_the_kde_constant_exits_2(
+            self, tiny_artifacts, tmp_path, capsys, bandwidth):
+        out = tmp_path / "report.json"
+        code = main(["diagnose", "--traces", str(tiny_artifacts["traces"]),
+                     "--data", str(tiny_artifacts["data"]), "--k", "10",
+                     "--bandwidth", bandwidth, "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert f"kde_bandwidth {float(bandwidth)!r} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyTheoryCommand:
     def test_report_and_exit_code(self, tiny_artifacts, tmp_path):
@@ -266,7 +279,7 @@ class TestVerifyStage:
              "solver": {"m": 10}})
         stage_gen(cfg, str(tmp_path))
         out = stage_verify(cfg, str(tmp_path))
-        report = json.loads(open(out["report"]).read())
+        report = json.loads(Path(out["report"]).read_text())
         bounds = report["bounds"]
         assert sum(b["n_checked"] for b in bounds) > 0
         assert sum(b["n_checked"] + b["n_skipped"] + b["rejected_in_sampling"]
@@ -679,6 +692,19 @@ class TestRunPipeline:
             == EXIT_INVALID_CONFIG
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth", [1e20, 1.5e-154])
+    def test_bandwidth_that_makes_the_kde_constant_fails_the_diagnose_stage(
+            self, tmp_path, capsys, bandwidth):
+        # the bandwidth is a valid setting; only the sampled endpoints show
+        # that it leaves the KDE constant
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**TINY, "diagnostics": {"knn_k": 10, "kde_bandwidth": bandwidth}}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_STAGE_FAILURE
+        err = capsys.readouterr().err
+        assert "stage 'diagnose' failed" in err and f"kde_bandwidth {bandwidth!r} " in err
 
 
 class TestOnePath:

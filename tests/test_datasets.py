@@ -168,6 +168,13 @@ class TestKde:
         integral = est.density(u).mean() * np.prod(hi - lo)
         assert integral == pytest.approx(1.0, abs=0.02)
 
+    def test_tiny_bandwidth_gives_zero_without_a_warning(self):
+        # 1.5e-154 has a normal square, but -d2 / (2 h^2) overflows for every
+        # pair not on top of each other; exp's limit there is 0
+        d = generate("dense_sparse", 100, 3)
+        queries = d.points + 0.01
+        assert np.all(KdeEstimator(d.points, 1.5e-154).density(queries) == 0.0)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             KdeEstimator(np.zeros((0, 2)), 0.1)

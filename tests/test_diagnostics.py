@@ -1,6 +1,7 @@
 """Tests for density estimates, rank statistics, memorization, and exact W2."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,17 @@ class TestKpeDensityReport:
         endpoints = data.points[:40]
         with pytest.raises(UndefinedStatistic):
             kpe_density_report(np.ones(40), endpoints, data)
+
+    @pytest.mark.parametrize("bandwidth", [1e20, 1.5e-154])
+    def test_constant_kde_names_the_bandwidth(self, bandwidth):
+        # every kernel is flat across the data at 1e20; at 1.5e-154 every
+        # endpoint, off the data, is 0 and floors
+        data = generate("dense_sparse", 200, 3)
+        rng = np.random.default_rng(8)
+        endpoints = data.points[:60] + 0.01 * rng.standard_normal((60, 2))
+        with pytest.raises(UndefinedStatistic, match=re.escape(f"kde_bandwidth {bandwidth!r} ")):
+            kpe_density_report(rng.gamma(2.0, size=60), endpoints, data,
+                               kde_bandwidth=bandwidth)
 
     def test_minimum_size(self):
         data = generate("dense_sparse", 100, 4)

@@ -514,6 +514,34 @@ class TestCheckpoint:
                        "tensors": tensors}, fh)
         assert path.read_bytes() == streamed.read_bytes()
 
+    def test_tensors_longer_than_one_slice_equal_one_dumps(self, tmp_path):
+        params = init_params(3)
+        sizes = [a.size for a in params.weights + params.biases]
+        # several full slices, and a partial one after a full one (w0)
+        assert max(sizes) > 2 * net._JSON_SLICE and sizes[0] % net._JSON_SLICE
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        tensors = [{"name": name, "shape": list(a.shape), "data": a.ravel().tolist()}
+                   for i, (w, b) in enumerate(zip(params.weights, params.biases))
+                   for name, a in ((f"w{i}", w), (f"b{i}", b))]
+        assert path.read_bytes() == json.dumps(
+            {"format": "kinflow-mlp", "layer_dims": list(LAYER_DIMS),
+             "tensors": tensors}).encode()
+
+    def test_save_holds_no_whole_json(self, tmp_path):
+        # the JSON is 2.95 MB; numpy's write of the copy's largest tensor,
+        # 0.5 MB, sets the peak
+        params = init_params(1)
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_900_000
+        assert peak <= 1_000_000
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_both_read_paths_round_trip_bitwise(self, tmp_path, seed):
         params = init_params(seed)
@@ -586,7 +614,7 @@ class TestCheckpoint:
 
             def failing_dumps(obj, *args, **kwargs):
                 seen.append(obj)
-                if len(seen) == 4:      # the container's head, then the third tensor
+                if len(seen) == 4:      # the head, w0's head, then w0's second slice
                     raise OSError("no space left on device")
                 return dumps(obj, *args, **kwargs)
 

@@ -1,12 +1,16 @@
 """Tests for ODE integration, energy accumulation, and velocity shaping."""
 
 import csv
+import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinflow import sampler
 from kinflow.datasets import generate
 from kinflow.diagnostics import f_mem, knn_density
 from kinflow.efm import EfmField
@@ -539,6 +543,37 @@ class TestTraceIO:
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + 12 * 41
 
+    def test_rows_past_one_block_equal_csv_writer(self, tmp_path):
+        trajs = sample_batch(decay_field, 50, SolverConfig(method="midpoint", steps=100, seed=6))
+        rows = len(trajs) * len(trajs.times)
+        # several full blocks, then a partial one
+        assert rows > 2 * sampler._TRACE_BLOCK and rows % sampler._TRACE_BLOCK
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(TRACE_HEADER)
+        for tid, traj in enumerate(trajs):
+            stepped = np.concatenate([[0.0], traj.power])
+            for (x, y), t, p, c in zip(traj.states, traj.times, stepped, traj.cum_kpe()):
+                writer.writerow([tid] + [repr(float(v)) for v in (t, x, y, p, c)])
+        save_traces(trajs, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == want.getvalue().encode()
+
+    def test_full_profile_save_and_load_hold_no_whole_file(self, tmp_path):
+        # the full profile's size: 500 paths of 100 Euler steps, 50 500 rows;
+        # the (rows, 6) float64 table alone is 2.4 MB
+        trajs = sample_batch(decay_field, 500, SolverConfig(steps=100, seed=4))
+        path = tmp_path / "traces.csv"
+        peaks = []
+        for call in (lambda: save_traces(trajs, path), lambda: load_traces(path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert path.stat().st_size > 4_000_000
+        assert max(peaks) <= 8_000_000
+
     def test_load_equals_float_parsing(self, tmp_path):
         path = tmp_path / "traces.csv"
         save_traces(self.efm_trajectories(), path)
@@ -584,6 +619,17 @@ class TestTraceIO:
         save_traces(sample_batch(decay_field, 2, SolverConfig(steps=3))[:0], path)
         assert path.read_bytes() == b"traj_id,t,x,y,power,cum_kpe\r\n"
         assert load_traces(path) == []
+
+    def test_blank_lines_after_the_header_are_skipped_without_a_warning(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        header = ",".join(TRACE_HEADER) + "\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for body in ("\r\n", "\r\n\r\n", " \r\n\r\n"):
+                path.write_bytes((header + body).encode())
+                assert load_traces(path) == []
+            path.write_bytes((header + "\r\n\r\n0,0.0,1,2,0.0,0.0\r\n").encode())
+            assert [tr["y"].tolist() for tr in load_traces(path)] == [[2.0]]
 
     def test_summary_fields(self):
         cfg = SolverConfig(steps=8, seed=2)
