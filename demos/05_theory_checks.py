@@ -2,7 +2,7 @@
 
 Wherever one mixture component dominates the posterior, the squared speed of
 the closed-form field is sandwiched between affine functions of the negative
-log-density, with slopes exactly 1/2 and 12 for the linear schedule.  This
+log-density, with slopes exactly 1/2 and 12 on the linear bridge.  This
 script samples dominant points in several dimensions and mixture sizes and
 checks every bound, then probes the terminal energy of a frozen off-manifold
 point against its analytic divergence rate and validates the Cauchy-Schwarz
@@ -12,7 +12,7 @@ tail bound on random atom-terminating paths.
 import numpy as np
 
 import kinflow as kf
-from kinflow.efm import EfmField, MixtureModel, linear_schedule
+from kinflow.efm import EfmField, MixtureModel
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     print("energy-density bounds on sampled dominant points:")
     for dim in (1, 2, 5):
         atoms = 20.0 * rng.standard_normal((20, dim))
-        mix = MixtureModel(atoms, linear_schedule())
+        mix = MixtureModel(atoms)
         pts, rejected = kf.sample_dominant_points(
             mix, np.linspace(0.1, 0.9, 9), eps=0.1, per_time=100, rng=rng)
         report = kf.check_energy_density_bounds(mix, pts, eps=0.1)

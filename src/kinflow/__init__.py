@@ -16,9 +16,8 @@ from .diagnostics import (KpeDensityReport, MemorizationReport,
                           UndefinedStatistic, cliffs_delta, cohens_d, exact_w2,
                           f_mem, knn_density, kpe_density_report,
                           mann_whitney_u, spearman)
-from .efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                  general_velocity, linear_schedule, mixture_log_density,
-                  mixture_score, posterior_weights)
+from .efm import (EfmField, MixtureModel, dominance, general_velocity,
+                  mixture_log_density, mixture_score, posterior_weights)
 from .net import (MlpParams, NeuralVelocityField, TrainConfig, TrainResult,
                   TrainingDiverged, cfm_loss_grad, forward, init_params,
                   load_checkpoint, save_checkpoint, time_encoding, train)

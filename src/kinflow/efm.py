@@ -1,38 +1,39 @@
 """Closed-form velocity field over a finite training set and its Gaussian mixture.
 
-At time t the training atoms x_i induce the mixture
+kinflow interpolates on the linear bridge x_t = t x_1 + (1 - t) x_0 only, so
+at time t the training atoms x_i induce the mixture
 
-    p_t(z) = (1/N) sum_i Normal(z; gamma(t) x_i, (1 - gamma(t))^2 I_d)
+    p_t(z) = (1/N) sum_i Normal(z; t x_i, (1 - t)^2 I_d)
 
-with softmax posterior responsibilities lambda_i(z, t).  ``EfmField`` is the
-``MixtureModel`` of the linear schedule gamma(t) = t, callable as its velocity
-field; its ``neighbors`` truncates the velocity only.  Two equivalent
-velocity representations are provided:
+with softmax posterior responsibilities lambda_i(z, t).  ``EfmField`` is this
+``MixtureModel``, callable as its velocity field; its ``neighbors`` truncates
+the velocity only.  Two equivalent velocity representations are provided:
 
 * the softmax-averaged bridge form (``EfmField``):
       u(x, t) = sum_i lambda_i(x, t) (x_i - x) / (1 - t)
-* the score form for a general schedule gamma (``general_velocity``):
+* the score form (``general_velocity``):
       u(z, t) = alpha(t) grad log p_t(z) + beta(t) z,
-      alpha = gdot sigma^2 / (gamma (1 - gamma)),  beta = gdot / gamma.
+      alpha = sigma^2 / (t (1 - t)) = (1 - t) / t,  beta = 1 / t.
+
+Where one atom dominates the posterior, ``theory`` bounds ||u||^2 by affine
+functions of -log p_t with slopes 1/2 and 12.
 
 One kernel, ``_softmax``, turns a block of squared bridge distances from
 ``_sq_dists`` into posteriors in place, with the row peak and sum that
 log p_t needs.  The field's velocity, full and top-K, the posteriors, log p_t
-and the checks in ``theory`` share it; ``check_concentration`` uses the
-schedule's own gamma(t) and sigma^2.  Top-K first ranks the atoms by the key
-||x_i||^2 - 2 (x / gamma) . x_i, which orders them as the bridge distances
-||x - gamma x_i|| do, with one BLAS product per block of rows (``_top_k``).
+and the checks in ``theory`` share it.  Top-K first ranks the atoms by the key
+||x_i||^2 - 2 (x / t) . x_i, which orders them as the bridge distances
+||x - t x_i|| do, with one BLAS product per block of rows (``_top_k``).
 
-All operations are pure functions of immutable inputs.  A schedule's gamma
-takes one time or an array of times.  Times are clamped to [1e-9, 1 - 1e-9]
-for gamma and sigma^2 only (``_time_terms``); the 1/(1 - t) velocity factor
-is never clamped, callers receive the true magnitude.
+All operations are pure functions of immutable inputs.  Times are clamped to
+[1e-9, 1 - 1e-9] for the bridge factor and sigma^2 only (``_time_terms``);
+the 1/(1 - t) velocity factor is never clamped, callers receive the true
+magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,23 +47,6 @@ T_CLAMP = 1e-9
 BLOCK_ELEMS = 1 << 16
 
 
-@dataclass(frozen=True)
-class GammaSchedule:
-    """Interpolation schedule gamma: [0,1] -> [0,1] with its derivative.
-    ``gamma`` maps one time or an array of times elementwise."""
-
-    gamma: Callable
-    gamma_dot: Callable[[float], float]
-
-    def __post_init__(self):
-        if abs(self.gamma(0.0)) > 1e-12 or abs(self.gamma(1.0) - 1.0) > 1e-12:
-            raise ValueError("schedule must satisfy gamma(0)=0 and gamma(1)=1")
-
-
-def linear_schedule() -> GammaSchedule:
-    return GammaSchedule(gamma=lambda t: t, gamma_dot=lambda t: 1.0)
-
-
 def _check_unit_interval(t):
     """One time as a float, or per-row times as a (B,) array, inside (0, 1)."""
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=np.float64)
@@ -73,10 +57,9 @@ def _check_unit_interval(t):
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Training atoms plus a schedule; works in any dimension d >= 1."""
+    """Training atoms of the linear-bridge mixture; works in any dimension d >= 1."""
 
     atoms: np.ndarray  # (N, d)
-    schedule: GammaSchedule
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -98,16 +81,17 @@ class MixtureModel:
 
     def _bridge(self, t: float) -> tuple[np.ndarray, float]:
         """Component means and variance at clamped time t."""
-        g, sigma2 = _time_terms(self, t)
+        g, sigma2 = _time_terms(t)
         return g * self.atoms, sigma2
 
 
-def _time_terms(m: MixtureModel, t):
-    """gamma and sigma^2 at the clamped time: scalars for one time, (B, 1)
-    columns for per-row times.  ``float_power`` is C ``pow``, as a float's
-    ``** 2`` is; an array's ``** 2`` multiplies, which can round differently."""
+def _time_terms(t):
+    """The clamped time g, which is the bridge factor gamma(t) = t, and
+    sigma^2 = (1 - g)^2: scalars for one time, (B, 1) columns for per-row
+    times.  ``float_power`` is C ``pow``, as a float's ``** 2`` is; an
+    array's ``** 2`` multiplies, which can round differently."""
     tc = np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
-    g = m.schedule.gamma(np.reshape(tc, (-1, 1)) if np.ndim(tc) else tc)
+    g = np.reshape(tc, (-1, 1)) if np.ndim(tc) else tc
     return g, np.float_power(1.0 - g, 2)
 
 
@@ -162,7 +146,7 @@ def _softmax_parts(m: MixtureModel, z, t):
     """The (B, N) posteriors and the (B,) log p_t of a (d,) point or a (B, d)
     batch at one t or one t per row, and whether ``z`` was one point."""
     z = np.asarray(z, dtype=np.float64)
-    g, sigma2 = _time_terms(m, _check_unit_interval(t))
+    g, sigma2 = _time_terms(_check_unit_interval(t))
     lam = _sq_dists(z.reshape(-1, z.shape[-1]), m.atoms, g)
     peak, total = _softmax(lam, sigma2)
     log_p = (peak + np.log(total) - np.log(m.n_atoms)
@@ -205,33 +189,25 @@ def mixture_score(m: MixtureModel, z, t: float) -> np.ndarray:
     return _score(posterior_weights(m, z, t), mus, z, sigma2)
 
 
-def _score_coeffs(m: MixtureModel, t: float) -> tuple[float, float, float, float, float]:
-    """gamma, gamma', sigma^2 and the score-form coefficients alpha, beta at
-    one t; raises where they are singular."""
-    g, sigma2 = _time_terms(m, t)
-    gdot = m.schedule.gamma_dot(t)
-    if not (0.0 < g < 1.0):
-        raise ValueError(f"gamma(t) must lie in (0, 1); got {g} at t={t}")
-    if gdot == 0.0:
-        raise ValueError(f"schedule derivative vanishes at t={t}")
-    return g, gdot, sigma2, gdot * sigma2 / (g * (1.0 - g)), gdot / g
+def _score_coeffs(t: float) -> tuple[float, float, float, float]:
+    """The clamped time g, sigma^2 and the score-form coefficients
+    alpha = sigma^2 / (g (1 - g)) and beta = 1 / g at one t."""
+    g, sigma2 = _time_terms(t)
+    return g, sigma2, sigma2 / (g * (1.0 - g)), 1.0 / g
 
 
-def _velocity(m: MixtureModel, score: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
+def _velocity(score: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
     """alpha(t) score + beta(t) z, the velocity of the given score."""
-    *_, alpha, beta = _score_coeffs(m, t)
+    *_, alpha, beta = _score_coeffs(t)
     return alpha * score + beta * z
 
 
 def general_velocity(m: MixtureModel, z, t: float) -> np.ndarray:
-    """Score-form velocity alpha(t) grad log p_t(z) + beta(t) z for any schedule.
-
-    Singular when gamma(t) is 0 or 1 or the schedule is momentarily flat.
-    """
+    """Score-form velocity alpha(t) grad log p_t(z) + beta(t) z, equal to the
+    bridge form of ``EfmField`` up to rounding."""
     t = _check_unit_interval(t)
-    _score_coeffs(m, t)     # a singular schedule raises before the score is computed
     z = np.asarray(z, dtype=np.float64)
-    return _velocity(m, mixture_score(m, z, t), z, t)
+    return _velocity(mixture_score(m, z, t), z, t)
 
 
 def _dominant(lam: np.ndarray, eps: float):
@@ -256,7 +232,7 @@ def dominance(m: MixtureModel, z, t: float, eps: float) -> int | None | list[int
 
 @dataclass(frozen=True)
 class EfmField(MixtureModel):
-    """The mixture of the linear schedule, called as its closed-form velocity.
+    """The mixture, called as its closed-form velocity.
 
     ``neighbors`` truncates the velocity's softmax to the K atoms nearest to
     the query in bridge distance ||x - t x_i|| (weights renormalized over the
@@ -266,7 +242,6 @@ class EfmField(MixtureModel):
     must not be called from two threads at once.
     """
 
-    schedule: GammaSchedule = field(default_factory=linear_schedule, init=False)
     neighbors: int | None = None
     #: the top-K ranking key's -2 atoms^T, (d, N) contiguous, and ||x_i||^2
     _rank_matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -343,7 +318,7 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     for lo in range(0, n_rows, step):
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
-        g, sigma2 = _time_terms(f, tb)
+        g, sigma2 = _time_terms(tb)
         ys = np.take(f.atoms, _top_k(f, x, g, buf), axis=0) if truncate else f.atoms
         w = _sq_dists(x, ys, g, *(b[:len(x) * cols].reshape(len(x), cols) for b in (buf, part)))
         _softmax(w, sigma2)

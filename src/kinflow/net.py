@@ -57,6 +57,9 @@ _OMEGAS = np.pi * 2.0 ** np.arange(TIME_ENC_DIM // 2)
 #: training samples t from [0, 1 - T_EPS] so the (z - x_t)/(1 - t) form stays finite
 T_EPS = 1e-6
 
+#: AdamW's moment decay rates and the denominator's guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
@@ -361,9 +364,6 @@ class AdamWState:
     m: MlpParams
     v: MlpParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -379,20 +379,20 @@ class AdamWState:
     def update(self, params: MlpParams, grads: MlpParams, lr: float, wd: float) -> None:
         """One step on ``params``, in place."""
         self.step += 1
-        bc1 = 1.0 - self.beta1 ** self.step
-        bc2 = 1.0 - self.beta2 ** self.step
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
         for p, g, m, v, (a, b) in zip(params.weights + params.biases,
                                       grads.weights + grads.biases,
                                       self.m.weights + self.m.biases,
                                       self.v.weights + self.v.biases, self.scratch):
             np.copyto(b, g)                 # the gradient, in float64
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, b, out=a)
-            v *= self.beta2
-            v += np.multiply(np.multiply(1.0 - self.beta2, b, out=a), b, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, b, out=a)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, b, out=a), b, out=a)
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
             p -= np.divide(a, b, out=a)
             p -= np.multiply(wd, p, out=a)
 

@@ -1,8 +1,9 @@
 """Minimal deterministic SVG plotting: line series, quantile bands, box summaries.
 
 Output is plain SVG with a fixed viewport and fixed-precision path data, so a
-re-render from identical inputs is byte-identical.  No plotting library is
-used.
+re-render from identical inputs is byte-identical.  Every label, title and
+axis text is XML-escaped once, where it is written (``&``, ``<`` and ``>``).
+No plotting library is used.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ PALETTE = ("#1f6fb2", "#d1495b", "#3a7d44", "#8a5fbf", "#c8791b", "#4a4a4a")
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
+
+
+def _escape(text: str) -> str:
+    """``text`` with XML's markup characters as entities.  Written here, since
+    importing ``xml.sax.saxutils`` loads ``urllib.request`` (about 7 MB)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass
@@ -89,7 +96,8 @@ class LinePlot:
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.6"/>')
             parts.append(f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 + 16 * i}" '
-                         f'text-anchor="end" font-size="12" fill="{color}">{label}</text>')
+                         f'text-anchor="end" font-size="12" '
+                         f'fill="{color}">{_escape(label)}</text>')
         parts.append("</svg>\n")
         with open(path, "w") as fh:
             fh.write("\n".join(parts))
@@ -129,7 +137,7 @@ def box_summary(path, title: str, groups: dict[str, np.ndarray]) -> None:
                      f'x2="{_fmt(cx + half)}" y2="{_fmt(ty(med))}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 16}" '
-                     f'text-anchor="middle" font-size="12" fill="#222">{label}</text>')
+                     f'text-anchor="middle" font-size="12" fill="#222">{_escape(label)}</text>')
         parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(ty(med) - 6)}" '
                      f'text-anchor="middle" font-size="10" fill="#222">{_fmt(med)}</text>')
     parts.append("</svg>\n")
@@ -162,7 +170,7 @@ def scatter(path, title: str, groups: dict[str, np.ndarray],
             parts.append(f'<circle cx="{_fmt(tx(px))}" cy="{_fmt(ty(py))}" r="1.6" '
                          f'fill="{color}" opacity="0.6"/>')
         parts.append(f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 + 16 * i}" '
-                     f'text-anchor="end" font-size="12" fill="{color}">{label}</text>')
+                     f'text-anchor="end" font-size="12" fill="{color}">{_escape(label)}</text>')
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
@@ -174,7 +182,7 @@ def _svg_header(title: str) -> str:
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     if title:
         head += (f'\n<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-                 f'font-size="14" fill="#111">{title}</text>')
+                 f'font-size="14" fill="#111">{_escape(title)}</text>')
     return head
 
 
@@ -198,9 +206,9 @@ def _axes(x0, x1, y0, y1, tx, ty, x_label, y_label, log_y) -> str:
     if x_label:
         parts.append(f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) // 2}" '
                      f'y="{HEIGHT - 8}" text-anchor="middle" font-size="12" '
-                     f'fill="#111">{x_label}</text>')
+                     f'fill="#111">{_escape(x_label)}</text>')
     if y_label:
         cy = (MARGIN_T + HEIGHT - MARGIN_B) // 2
         parts.append(f'<text x="14" y="{cy}" text-anchor="middle" font-size="12" '
-                     f'fill="#111" transform="rotate(-90 14 {cy})">{y_label}</text>')
+                     f'fill="#111" transform="rotate(-90 14 {cy})">{_escape(y_label)}</text>')
     return "\n".join(parts)

@@ -34,7 +34,7 @@ import pytest
 
 import kinflow as kf
 from kinflow import net
-from kinflow.efm import EfmField, MixtureModel, linear_schedule
+from kinflow.efm import EfmField, MixtureModel
 from kinflow.theory import (blowup_probe, bound_constants,
                             check_energy_density_bounds,
                             check_local_gaussian_remainder,
@@ -277,7 +277,7 @@ def test_criterion_5_energy_density_bound_suite():
     ts = np.linspace(0.1, 0.9, 9)
 
     for t in ts:
-        m1 = MixtureModel(np.zeros((1, 2)), linear_schedule())
+        m1 = MixtureModel(np.zeros((1, 2)))
         consts = bound_constants(m1, float(t), 0, 0.1)
         assert abs(consts.lower_slope - 0.5) <= 1e-14
         assert abs(consts.upper_slope - 12.0) <= 1e-14
@@ -288,7 +288,7 @@ def test_criterion_5_energy_density_bound_suite():
     for dim in (1, 2, 5):
         for n_atoms in (1, 5, 50):
             atoms = 30.0 * rng.standard_normal((n_atoms, dim))
-            mix = MixtureModel(atoms, linear_schedule())
+            mix = MixtureModel(atoms)
             for eps in (0.05, 0.1, 0.3):
                 points, _ = sample_dominant_points(mix, ts, eps, 60, rng)
                 report = check_energy_density_bounds(mix, points, eps)
@@ -317,7 +317,7 @@ def test_criterion_6_velocity_identity_and_score():
     for _ in range(1000):
         atoms = rng.standard_normal((int(rng.integers(1, 25)),
                                      int(rng.integers(1, 4))))
-        mix = MixtureModel(atoms, linear_schedule())
+        mix = MixtureModel(atoms)
         z = 2.0 * rng.standard_normal(atoms.shape[1])
         t = float(rng.uniform(0.05, 0.95))
         v_score = kf.general_velocity(mix, z, t)
@@ -329,7 +329,7 @@ def test_criterion_6_velocity_identity_and_score():
     h = 1e-6
     for _ in range(200):
         atoms = 2.0 * rng.standard_normal((6, 2))
-        mix = MixtureModel(atoms, linear_schedule())
+        mix = MixtureModel(atoms)
         z = rng.standard_normal(2)
         t = float(rng.uniform(0.1, 0.9))
         s = kf.mixture_score(mix, z, t)
@@ -358,7 +358,7 @@ def test_criterion_7_concentration_and_blowup():
     conc_violations = 0
     for _ in range(25):
         atoms = 4.0 * rng.standard_normal((int(rng.integers(2, 8)), 2))
-        mix = MixtureModel(atoms, linear_schedule())
+        mix = MixtureModel(atoms)
         x = atoms[0] + rng.uniform(0.2, 0.6) * rng.standard_normal(2)
         ts = np.linspace(0.9, 0.999, 12)
         s_end = ((x[None, :] - 0.999 * atoms) ** 2).sum(axis=1)

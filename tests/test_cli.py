@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -391,6 +392,29 @@ class TestPlotCommand:
         for name in ("cumulative_energy.svg", "instant_power.svg",
                      "kpe_by_stratum_base.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_labels_and_strata_are_escaped(self, tiny_artifacts, tmp_path):
+        # a series label and the stratum names of a CSV of kind "unknown"
+        # carry XML markup characters; every plot must still parse
+        data = datasets.load_csv(tiny_artifacts["data"])
+        renamed = {"dense_core": "a<b&c", "sparse_ring": "x>y"}
+        odd = tmp_path / "odd.csv"
+        datasets.save_csv(datasets.LabeledDataset(
+            data.points, tuple(renamed.get(s, s) for s in data.strata), "unknown", -1), odd)
+        out = tmp_path / "plots"
+        code = main(["plot", "--traces", str(tiny_artifacts["traces"] / "traces.csv"),
+                     "--labels", "a&b<c", "--data", str(odd), "--out", str(out)])
+        assert code == EXIT_OK
+        texts = {}
+        for name in ("cumulative_energy.svg", "instant_power.svg",
+                     "kpe_by_stratum_a&b<c.svg"):
+            root = ElementTree.parse(out / name).getroot()
+            texts[name] = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c" in texts["cumulative_energy.svg"]
+        assert "a&b<c" in texts["instant_power.svg"]
+        box = texts["kpe_by_stratum_a&b<c.svg"]
+        assert "energy by stratum (a&b<c)" in box
+        assert set(box) & set(renamed.values())
 
     def test_constant_velocity_cumulative_is_linear(self, tmp_path):
         field = lambda x, t: np.array([3.0, 4.0])

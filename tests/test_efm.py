@@ -10,43 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinflow import efm
-from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                         general_velocity, linear_schedule, mixture_log_density,
-                         mixture_score, posterior_weights)
+from kinflow.efm import (EfmField, MixtureModel, dominance, general_velocity,
+                         mixture_log_density, mixture_score, posterior_weights)
 
 
-def mix(atoms, schedule=None):
-    return MixtureModel(np.asarray(atoms, dtype=float),
-                        schedule or linear_schedule())
-
-
-class TestSchedule:
-    def test_linear_endpoints(self):
-        s = linear_schedule()
-        assert s.gamma(0.0) == 0.0 and s.gamma(1.0) == 1.0
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            GammaSchedule(gamma=lambda t: 0.5 * t, gamma_dot=lambda t: 0.5)
+def mix(atoms):
+    return MixtureModel(np.asarray(atoms, dtype=float))
 
 
 class TestTimeTerms:
-    @pytest.mark.parametrize("schedule", [
-        linear_schedule(), GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)],
-        ids=["linear", "quadratic"])
-    def test_per_row_times_equal_one_time_calls(self, schedule):
+    def test_per_row_times_equal_one_time_calls(self):
         # one array expression over the clamped times, with the bits of a
         # one-time call at each row, clamped ends included
-        m = mix([[1.0, 0.0]], schedule)
         rng = np.random.default_rng(16)
         ts = np.concatenate([rng.random(5000), 1.0 - np.geomspace(1e-12, 1.0, 3000),
                              [0.0, 1e-12, 1.0]])
-        g, sigma2 = efm._time_terms(m, ts)
+        g, sigma2 = efm._time_terms(ts)
         assert g.shape == sigma2.shape == (len(ts), 1)
-        one = np.array([efm._time_terms(m, float(t)) for t in ts])
+        one = np.array([efm._time_terms(float(t)) for t in ts])
         assert np.array_equal(g[:, 0], one[:, 0]) and np.array_equal(sigma2[:, 0], one[:, 1])
-        tc = min(max(0.37, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
-        assert efm._time_terms(m, 0.37) == (schedule.gamma(tc), (1.0 - schedule.gamma(tc)) ** 2)
+        assert np.array_equal(g[:, 0], np.clip(ts, efm.T_CLAMP, 1.0 - efm.T_CLAMP))
+        assert efm._time_terms(0.37) == (0.37, (1.0 - 0.37) ** 2)
 
 
 class TestPosteriorWeights:
@@ -163,7 +147,7 @@ class TestEfmVelocity:
         rng = np.random.default_rng(15)
         atoms = 2.0 * rng.standard_normal((40, 3))
         f, m = EfmField(atoms, neighbors=neighbors), mix(atoms)
-        assert isinstance(f, MixtureModel) and f.schedule.gamma(0.3) == 0.3
+        assert isinstance(f, MixtureModel)
         zs = rng.standard_normal((25, 3))
         ts = rng.uniform(0.05, 0.95, 25)
         for t in (0.2, 0.7, ts):
@@ -542,14 +526,6 @@ class TestGeneralVelocity:
         t = 0.6
         assert np.allclose(general_velocity(m, z, t), (atoms[0] - z) / (1 - t),
                            rtol=1e-12)
-
-    def test_singular_schedule_rejected(self):
-        # a schedule that saturates early makes the coefficients singular
-        s = GammaSchedule(gamma=lambda t: min(2 * t, 1.0),
-                          gamma_dot=lambda t: 2.0 if t < 0.5 else 0.0)
-        m = mix([[1.0, 0.0]], schedule=s)
-        with pytest.raises(ValueError):
-            general_velocity(m, np.zeros(2), 0.75)
 
 
 class TestDominance:

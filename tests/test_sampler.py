@@ -574,6 +574,22 @@ class TestTraceIO:
         assert path.stat().st_size > 4_000_000
         assert max(peaks) <= 8_000_000
 
+    def test_in_order_load_holds_no_sorted_copy(self, tmp_path):
+        # save_traces writes the ids in order, so a load of its file at the
+        # full profile's size skips the 2.4 MB sorted copy of the table
+        trajs = sample_batch(decay_field, 500, SolverConfig(steps=100, seed=4))
+        path = tmp_path / "traces.csv"
+        save_traces(trajs, path)
+        tracemalloc.start()
+        try:
+            back = load_traces(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tr["traj_id"] for tr in back] == list(range(500))
+        assert np.array_equal(back[-1]["x"], trajs[-1].states[:, 0])
+        assert peak <= 4_500_000
+
     def test_load_equals_float_parsing(self, tmp_path):
         path = tmp_path / "traces.csv"
         save_traces(self.efm_trajectories(), path)
@@ -610,9 +626,10 @@ class TestTraceIO:
         path.write_text("")
         with pytest.raises(ValueError, match="expected header"):
             load_traces(path)
-        path.write_text("traj_id,t,x,y,power,cum_kpe\r\n0.5,0.0,1,1,0.0,0.0\r\n")
-        with pytest.raises(ValueError, match="integers"):
-            load_traces(path)
+        for bad_id in ("0.5", "inf"):
+            path.write_text(f"traj_id,t,x,y,power,cum_kpe\r\n{bad_id},0.0,1,1,0.0,0.0\r\n")
+            with pytest.raises(ValueError, match="integers"):
+                load_traces(path)
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "traces.csv"

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from kinflow import cli, efm, sampler, theory
-from kinflow.efm import (EfmField, GammaSchedule, MixtureModel, dominance,
-                         general_velocity, linear_schedule, mixture_log_density,
-                         mixture_score, posterior_weights)
+from kinflow.efm import (EfmField, MixtureModel, dominance, general_velocity,
+                         mixture_log_density, mixture_score)
 from kinflow.theory import (REL_SLACK, blowup_probe, bound_constants,
                             check_concentration, check_energy_density_bounds,
                             check_local_gaussian_remainder,
@@ -17,9 +16,8 @@ from kinflow.theory import (REL_SLACK, blowup_probe, bound_constants,
 from kinflow.sampler import SolverConfig, integrate
 
 
-def mix(atoms, schedule=None):
-    return MixtureModel(np.asarray(atoms, dtype=float),
-                        schedule or linear_schedule())
+def mix(atoms):
+    return MixtureModel(np.asarray(atoms, dtype=float))
 
 
 class TestBoundConstants:
@@ -29,13 +27,6 @@ class TestBoundConstants:
             consts = bound_constants(m, float(t), 0, 0.1)
             assert abs(consts.lower_slope - 0.5) <= 1e-14
             assert abs(consts.upper_slope - 12.0) <= 1e-14
-
-    def test_slope_ordering(self):
-        quad = GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)
-        m = mix(np.random.default_rng(1).standard_normal((4, 3)), schedule=quad)
-        consts = bound_constants(m, 0.4, 1, 0.2)
-        assert consts.lower_slope <= consts.upper_slope
-        assert np.isfinite(consts.offset)
 
     def test_single_atom_at_origin_offsets(self):
         # with the dominant mean at the origin and no spread, both offsets
@@ -237,21 +228,6 @@ class TestConcentration:
         report = check_concentration(m, np.zeros(2), [0.5, 0.9], margin=5.0)
         assert report.n_margin_invalid == 2
         assert report.all_passed  # nothing valid to check
-
-    def test_quadratic_schedule_uses_its_own_bridge(self):
-        # under gamma = t^2 at t = 0.8, x lies nearer gamma x_1 = (6.4, 0)
-        # than gamma x_0 = 0, so the posterior sits on atom 1, and the bound
-        # takes sigma^2 = (1 - 0.64)^2; the linear bridge t x_i would pick
-        # atom 0 and report 1 - lambda_0 = 0.9999996 against e^-12.5
-        quad = GammaSchedule(gamma=lambda t: t * t, gamma_dot=lambda t: 2 * t)
-        m = mix([[0.0, 0.0], [10.0, 0.0]], schedule=quad)
-        x = np.array([3.5, 0.0])
-        report = check_concentration(m, x, [0.8], margin=1.0)
-        entry = report.entries[0]
-        assert report.i_star == 1 and entry.margin_ok and entry.passed
-        assert entry.bound == pytest.approx(np.exp(-1.0 / (2.0 * 0.36 ** 2)), rel=1e-12)
-        assert entry.measured == pytest.approx(posterior_weights(m, x, 0.8)[0], rel=1e-12)
-        assert entry.measured == pytest.approx(3.7e-7, rel=0.01)
 
     def test_never_violated_on_random_frozen_points(self):
         rng = np.random.default_rng(5)
@@ -484,24 +460,22 @@ class TestIntegratedEnergyDensity:
 
 
 def bound_offsets_loop(m, t, i_star, eps):
-    """Scalar reference of the bound constants at one (t, i*, eps): slopes,
-    offset, log-normalizer and mean spread."""
-    g, gdot = m.schedule.gamma(t), m.schedule.gamma_dot(t)
-    sigma2 = (1.0 - g) ** 2
-    mus = g * m.atoms
+    """Scalar reference of the bound constants at one (t, i*, eps) on the
+    linear bridge: slopes, offset, log-normalizer and mean spread."""
+    sigma2 = (1.0 - t) ** 2
+    mus = t * m.atoms
     mu_star = mus[i_star]
     spread = float(np.sqrt(((mus - mu_star) ** 2).sum(axis=1)).max())
-    alpha = gdot * sigma2 / (g * (1.0 - g))
+    alpha = sigma2 / (t * (1.0 - t))
     drift = float(np.linalg.norm((alpha / sigma2) * mu_star))
     slack = abs(alpha) * (eps / sigma2) * spread
-    m2 = gdot * gdot
-    off_lower = 0.5 * m2 / sigma2 * (mu_star @ mu_star) + 2.0 * (drift + slack) ** 2
-    off_upper = 6.0 * m2 / sigma2 * (mu_star @ mu_star) + 3.0 * (drift ** 2 + slack ** 2)
+    off_lower = 0.5 / sigma2 * (mu_star @ mu_star) + 2.0 * (drift + slack) ** 2
+    off_upper = 6.0 / sigma2 * (mu_star @ mu_star) + 3.0 * (drift ** 2 + slack ** 2)
     d = m.dim
     c0 = 0.5 * d * np.log(2.0 * np.pi) + 0.5 * d * np.log(sigma2) + np.log(m.n_atoms)
     k_t = abs(c0) - np.log1p(-eps)
-    offset = max(off_lower + 0.5 * m2 * k_t, off_upper + 12.0 * m2 * k_t)
-    return 0.5 * m2, 12.0 * m2, offset, c0, spread
+    offset = max(off_lower + 0.5 * k_t, off_upper + 12.0 * k_t)
+    return 0.5, 12.0, offset, c0, spread
 
 
 def checks_loop(m, points, eps):
