@@ -482,6 +482,10 @@ def emit_plots(trace_files: list[str], labels: list[str], outdir: str,
         raise ValueError("no trace files given")
     if len(set(labels)) != len(labels):
         raise ValueError(f"plot labels must be distinct, got {labels}")
+    # each label names a stratum box file inside outdir
+    for label in labels:
+        if any(sep and sep in label for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"plot label {label!r} holds a path separator")
     loaded = [sampler.load_traces(path) for path in trace_files]
     for path, trajs in zip(trace_files, loaded):
         if not trajs:

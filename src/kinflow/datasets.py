@@ -22,7 +22,7 @@ import io
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,11 +138,15 @@ def check_bandwidth(h) -> None:
 class KdeEstimator:
     """Gaussian-kernel density estimate over a fixed reference point set.
 
-    density(q) = (1 / (n 2 pi h^2)) sum_i exp(-||q - p_i||^2 / (2 h^2))
+    density(q) = (1 / (n (2 pi h^2)^(d/2))) sum_i exp(-||q - p_i||^2 / (2 h^2))
+
+    in d dimensions, so that it integrates to 1 in every d.
     """
 
     points: np.ndarray
     bandwidth: float = 0.1
+    #: 1 / (n (2 pi h^2)^(d/2))
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -150,6 +154,18 @@ class KdeEstimator:
             raise ValueError("reference set must be a non-empty (n, d) array")
         check_bandwidth(self.bandwidth)
         object.__setattr__(self, "points", pts)
+        # (2 pi)^(d/2) and h^(2 (d/2)) apart: at d = 2 both powers are exact,
+        # so 2-D densities keep the bits of 1 / (n 2 pi h^2).  A normalizer
+        # that overflows to 0 gives densities of 0, as at d = 2; one whose
+        # divisor underflows to 0 (d >= 3, a tiny h) would give inf * 0
+        half_d = pts.shape[1] / 2
+        with np.errstate(over="ignore", divide="ignore"):
+            norm = 1.0 / (len(pts) * np.float_power(2.0 * np.pi, half_d)
+                          * np.float_power(self.bandwidth ** 2, half_d))
+        if norm == np.inf:
+            raise ValueError(f"kde_bandwidth {self.bandwidth!r} leaves no finite normalizer "
+                             f"in {pts.shape[1]} dimensions")
+        object.__setattr__(self, "_norm", float(norm))
 
     def density(self, q) -> np.ndarray | float:
         """Evaluate the density at one query point (d,) or a batch (m, d)."""
@@ -157,14 +173,13 @@ class KdeEstimator:
         qs = q.reshape(-1, q.shape[-1])
         h2 = self.bandwidth ** 2
         out = np.empty(len(qs))
-        norm = 1.0 / (len(self.points) * 2.0 * np.pi * h2)
         step = _row_step(len(qs), len(self.points))
         for lo in range(0, len(qs), step):
             d2 = _sq_dists(qs[lo:lo + step], self.points, 1.0)
             # far pairs overflow to -inf at a tiny bandwidth, where exp's
             # limit 0 is exact
             with np.errstate(over="ignore"):
-                out[lo:lo + step] = norm * np.exp(-d2 / (2.0 * h2)).sum(axis=1)
+                out[lo:lo + step] = self._norm * np.exp(-d2 / (2.0 * h2)).sum(axis=1)
         return float(out[0]) if q.ndim == 1 else out
 
 

@@ -23,7 +23,9 @@ One kernel, ``_softmax``, turns a block of squared bridge distances from
 log p_t needs.  The field's velocity, full and top-K, the posteriors, log p_t
 and the checks in ``theory`` share it.  Top-K first ranks the atoms by the key
 ||x_i||^2 - 2 (x / t) . x_i, which orders them as the bridge distances
-||x - t x_i|| do, with one BLAS product per block of rows (``_top_k``).
+||x - t x_i|| do, with one BLAS product per block of rows (``_top_k``), and
+keeps a row's last kept set wherever one pass over its keys proves it still
+the K nearest.
 
 All operations are pure functions of immutable inputs.  Times are clamped to
 [1e-9, 1 - 1e-9] for the bridge factor and sigma^2 only (``_time_terms``);
@@ -236,10 +238,12 @@ class EfmField(MixtureModel):
 
     ``neighbors`` truncates the velocity's softmax to the K atoms nearest to
     the query in bridge distance ||x - t x_i|| (weights renormalized over the
-    kept set); ``None`` keeps all atoms.  The neighbor set is recomputed at
-    every velocity evaluation.  Posteriors and densities use every atom.
-    The field keeps its kernel's block buffer between calls, so one field
-    must not be called from two threads at once.
+    kept set); ``None`` keeps all atoms.  The neighbor set is found again at
+    every velocity evaluation: the last call's kept sets are tried first and
+    kept for each row where one pass over its keys proves them still the K
+    nearest (``_top_k``).  Posteriors and densities use every atom.
+    The field keeps its kernel's block buffer and the last kept sets between
+    calls, so one field must not be called from two threads at once.
     """
 
     neighbors: int | None = None
@@ -248,6 +252,9 @@ class EfmField(MixtureModel):
     _rank_offset: np.ndarray = field(init=False, repr=False, compare=False)
     #: the kernel's block and partial sums, grown to the largest pair asked for
     _buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the last top-K call's (rows, K) kept indices, ascending in each row,
+    #: kept only while rows * K <= BLOCK_ELEMS; (0, 0) before the first
+    _hint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -258,6 +265,7 @@ class EfmField(MixtureModel):
         object.__setattr__(self, "_rank_matrix", np.ascontiguousarray(-2.0 * self.atoms.T))
         object.__setattr__(self, "_rank_offset", np.square(self.atoms).sum(axis=1))
         object.__setattr__(self, "_buffer", np.empty(0))
+        object.__setattr__(self, "_hint", np.empty((0, 0), dtype=np.intp))
 
     def _blocks(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat work arrays of rows * N and rows * cols elements in the field's
@@ -278,17 +286,40 @@ class EfmField(MixtureModel):
         return out[0] if x.ndim == 1 else out
 
 
-def _top_k(f: EfmField, x: np.ndarray, g, out: np.ndarray) -> np.ndarray:
+def _top_k(f: EfmField, x: np.ndarray, g, out: np.ndarray,
+           hint: np.ndarray | None = None) -> np.ndarray:
     """Indices of the ``f.neighbors`` atoms nearest to each (B, d) row of
-    ``x`` in bridge distance ||x - g x_i||, (B, K) in ``argpartition`` order,
+    ``x`` in bridge distance ||x - g x_i||, (B, K) ascending in each row,
     ranked in the first B * N elements of the flat buffer ``out``.  The key
     ||x_i||^2 - 2 (x / g) . x_i is ||x / g - x_i||^2 less a per-row constant,
     so one BLAS product orders the atoms as the bridge distances do; at
     g = 1e-9 (t = 0) it still resolves x . x_i differences of 1e-9, which
-    direct differences cannot."""
-    key = np.matmul(x / g, f._rank_matrix, out=out[:len(x) * f.n_atoms].reshape(len(x), -1))
+    direct differences cannot.
+
+    ``hint`` is a guess, (B, K) distinct indices ascending in each row, that
+    is updated in place and returned.  A row keeps its guess where the
+    largest key of the guessed atoms is below the smallest key of all the
+    others, which makes the guess the row's one top-K set; that takes one
+    pass over the keys.  Every other row (a tie at the K-th key, a NaN key),
+    and every row without a hint, is ranked by ``argpartition``.  So the
+    kept sets do not depend on the guess."""
+    n, k = f.n_atoms, f.neighbors
+    keys = out[:len(x) * n]
+    key = np.matmul(x / g, f._rank_matrix, out=keys.reshape(len(x), -1))
     key += f._rank_offset
-    return np.argpartition(key, f.neighbors - 1, axis=1)[:, :f.neighbors]
+    if hint is None:
+        hint, miss = np.empty((len(x), k), dtype=np.intp), slice(None)
+    else:
+        flat = hint + np.arange(0, keys.size, n)[:, None]
+        guessed = keys.take(flat)
+        keys[flat] = np.inf
+        miss = ~(key.min(axis=1) > guessed.max(axis=1))
+        if not miss.any():
+            return hint
+        keys[flat] = guessed
+        miss = slice(None) if miss.all() else miss
+    hint[miss] = np.sort(np.argpartition(key[miss], k - 1, axis=1)[:, :k], axis=1)
+    return hint
 
 
 def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
@@ -300,17 +331,26 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
     field's buffer, where ``_softmax`` makes the posteriors, so no (rows, N)
     array outgrows the cache or is allocated on every call.  A top-K block
     ranks every atom (``_top_k``), then takes direct-difference bridge
-    distances for the K kept atoms only, into the ranking buffer; each is
-    bitwise the full-softmax block's entry.  Top-K rows do not
-    depend on the blocking, except that a one-row block ranks with a
-    matrix-vector product, whose keys can differ in the last bit; that
-    reorders only atoms whose keys agree to within that bit.  A full-softmax
+    distances for the K kept atoms only, in ascending index order, into the
+    ranking buffer; each is bitwise the full-softmax block's entry.  When
+    rows x K <= ``BLOCK_ELEMS``, the kept indices stay in the field as the
+    next call's guess, which ``_top_k`` checks row by row; the first call,
+    or one with another row count, guesses atoms 0..K-1.  The kept sets,
+    and so a top-K row's bits, are those of a fresh field.  Top-K rows do
+    not depend on the blocking, except that a one-row block ranks with a
+    matrix-vector product, whose keys can differ in the last bit; that can
+    change the kept set only at a near-tie at the K-th key.  A full-softmax
     row's ``w @ atoms`` product may differ in the last bit from one
     whole-array product, since BLAS results can depend on the number of rows.
     """
     t = np.asarray(t, dtype=np.float64)
     n_rows, k = len(xs), f.neighbors
     truncate = k is not None and k < f.n_atoms
+    hint = None
+    if truncate and n_rows * k <= BLOCK_ELEMS:
+        if f._hint.shape != (n_rows, k):
+            object.__setattr__(f, "_hint", np.tile(np.arange(k), (n_rows, 1)))
+        hint = f._hint
     step = _row_step(n_rows, f.n_atoms)
     cols = k if truncate else f.n_atoms
     buf, part = f._blocks(min(step, n_rows), cols)
@@ -319,7 +359,10 @@ def _efm_rows(f: EfmField, xs: np.ndarray, t) -> np.ndarray:
         x = xs[lo:lo + step]
         tb = t[lo:lo + step, None] if t.ndim else t
         g, sigma2 = _time_terms(tb)
-        ys = np.take(f.atoms, _top_k(f, x, g, buf), axis=0) if truncate else f.atoms
+        ys = f.atoms
+        if truncate:
+            kept = _top_k(f, x, g, buf, None if hint is None else hint[lo:lo + step])
+            ys = np.take(ys, kept, axis=0)
         w = _sq_dists(x, ys, g, *(b[:len(x) * cols].reshape(len(x), cols) for b in (buf, part)))
         _softmax(w, sigma2)
         targets = np.einsum("bk,bkd->bd", w, ys) if truncate else w @ f.atoms

@@ -459,6 +459,20 @@ class TestPlotCommand:
         with pytest.raises(ValueError, match="distinct"):
             emit_plots(paths, ["x", "x"], str(out))
 
+    @pytest.mark.parametrize("label", ["a/b", "../a", os.sep])
+    def test_label_with_a_path_separator_exits_2(self, tiny_artifacts, tmp_path, capsys,
+                                                 label):
+        # the label names the stratum box file: a/b would send it into the
+        # directory kpe_by_stratum_a/, or fail when that does not exist
+        out = tmp_path / "plots"
+        (out / "kpe_by_stratum_a").mkdir(parents=True)
+        code = main(["plot", "--traces", str(tiny_artifacts["traces"] / "traces.csv"),
+                     "--labels", label, "--data", str(tiny_artifacts["data"]),
+                     "--out", str(out)])
+        assert code == EXIT_INVALID_CONFIG
+        assert repr(label) in capsys.readouterr().err
+        assert [p.name for p in out.rglob("*")] == ["kpe_by_stratum_a"]
+
     def test_no_broadcast_temporary(self, tmp_path):
         # the stratum boxes compare m endpoints with n training points; a
         # broadcast block would hold an (m, n, 2) difference and the (m, n)

@@ -168,6 +168,23 @@ class TestKde:
         integral = est.density(u).mean() * np.prod(hi - lo)
         assert integral == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("d, half_width, points", [(1, 6.0, 12001), (3, 3.0, 61)])
+    def test_one_atom_integrates_to_one_in_d_dimensions(self, d, half_width, points):
+        # a Riemann sum on a grid of spacing h / 5 or finer is exact for a
+        # Gaussian to far below the tolerance; the normalizer 1 / (2 pi h^2)
+        # of d = 2 gives 0.798 at d = 1 and 1.253 at d = 3
+        axis = np.linspace(-half_width, half_width, points)
+        grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        est = KdeEstimator(np.full((1, d), 0.25), 0.5)
+        integral = est.density(grid + 0.25).sum() * (axis[1] - axis[0]) ** d
+        assert integral == pytest.approx(1.0, abs=1e-6)
+
+    def test_normalizer_that_cannot_be_finite_raises(self):
+        # at d = 3, h = 1e-110 passes the bandwidth check, but
+        # (2 pi h^2)^(3/2) underflows to 0
+        with pytest.raises(ValueError, match="kde_bandwidth"):
+            KdeEstimator(np.zeros((3, 3)), 1e-110)
+
     def test_tiny_bandwidth_gives_zero_without_a_warning(self):
         # 1.5e-154 has a normal square, but -d2 / (2 h^2) overflows for every
         # pair not on top of each other; exp's limit there is 0

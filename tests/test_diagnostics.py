@@ -1,6 +1,7 @@
 """Tests for density estimates, rank statistics, memorization, and exact W2."""
 
 import math
+from itertools import combinations
 import re
 import tracemalloc
 
@@ -233,6 +234,36 @@ class TestMannWhitney:
         b = [x + 1000.0 for x in a]
         _, p = mann_whitney_u(a, b)
         assert 0.0 < p <= 1.0
+
+    @staticmethod
+    def enumerated(a, b):
+        """U and the exact two-sided p by enumerating every rank assignment."""
+        pooled = np.concatenate([a, b])
+        us = []
+        for subset in combinations(range(len(pooled)), len(a)):
+            mask = np.zeros(len(pooled), dtype=bool)
+            mask[list(subset)] = True
+            diff = pooled[mask][:, None] - pooled[~mask][None, :]
+            us.append(float((diff > 0).sum() + 0.5 * (diff == 0).sum()))
+        us = np.array(us)
+        diff = np.subtract.outer(a, b)
+        u_obs = float((diff > 0).sum() + 0.5 * (diff == 0).sum())
+        p_lo = float((us <= u_obs + 1e-9).mean())
+        p_hi = float((us >= u_obs - 1e-9).mean())
+        return u_obs, min(1.0, 2.0 * min(p_lo, p_hi))
+
+    def test_rank_sum_counts_equal_enumeration_bitwise(self):
+        # values from a few levels, so that most samples hold ties, within
+        # a sample and across the two
+        rng = np.random.default_rng(6)
+        for _ in range(150):
+            n_a, n_b = rng.integers(1, 7, 2)
+            levels = rng.integers(1, 6)
+            a = rng.integers(0, levels, n_a) * 0.5
+            b = rng.integers(0, levels, n_b) * 0.5 + rng.choice([0.0, 0.5])
+            assert mann_whitney_u(a, b) == self.enumerated(a, b), (a, b)
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        assert mann_whitney_u(a, b) == self.enumerated(a, b)
 
     def test_exact_vs_normal_consistency(self):
         # near the switch point the two methods should roughly agree

@@ -188,7 +188,7 @@ def assert_no_near_tie(atoms, xs, t, k):
 def loop_rows(atoms, xs, ts, neighbors):
     """Velocities one row at a time, by the unblocked kernel's formula: direct
     differences summed coordinate by coordinate, softmax over the K nearest
-    (kept in ``argpartition`` order) or over all atoms."""
+    (kept in ascending index order) or over all atoms."""
     out = []
     for x, t in zip(xs, np.broadcast_to(ts, len(xs))):
         tc = min(max(t, efm.T_CLAMP), 1.0 - efm.T_CLAMP)
@@ -198,7 +198,7 @@ def loop_rows(atoms, xs, ts, neighbors):
             w = np.exp(logw - logw.max())
             target = w / w.sum() @ atoms
         else:
-            kept = np.argpartition(d2[None], neighbors - 1, axis=1)[:, :neighbors]
+            kept = np.sort(np.argpartition(d2[None], neighbors - 1, axis=1)[:, :neighbors])
             lw = np.take_along_axis(logw[None], kept, axis=1)
             w = np.exp(lw - lw.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
@@ -356,6 +356,115 @@ class TestTopKRanking:
         kept = efm._top_k(f, xs, efm.T_CLAMP, np.empty((3, n)))
         assert all(np.array_equal(np.sort(row), top) for row in kept)
         np.testing.assert_allclose(f(xs, 0.0), EfmField(atoms[top])(xs, 0.0), rtol=0, atol=1e-15)
+
+
+class TestWarmStart:
+    """One field keeps each row's last kept set while a pass over its keys
+    proves it still the K nearest; every call must give a fresh field's bits."""
+
+    N, K, ROWS = 300, 31, 40
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        # every _top_k call's field, rows, kept sets and the number of rows
+        # that argpartition ranked
+        calls, ranked = [], []
+        top_k, argpartition = efm._top_k, np.argpartition
+
+        def record(f, x, g, out, hint=None):
+            ranked.clear()
+            kept = top_k(f, x, g, out, hint)
+            calls.append((f, x.copy(), g, kept.copy(), sum(ranked)))
+            return kept
+
+        def count_rows(a, *args, **kwargs):
+            ranked.append(len(a))
+            return argpartition(a, *args, **kwargs)
+
+        monkeypatch.setattr(efm, "_top_k", record)
+        monkeypatch.setattr(np, "argpartition", count_rows)
+        return calls
+
+    @staticmethod
+    def assert_top_k(calls):
+        for f, x, g, kept, _ in calls:
+            assert np.all(np.diff(kept, axis=1) > 0)
+            d2 = broadcast_sq_dists(x, f.atoms, g)
+            rows = np.isfinite(d2).all(axis=1)
+            dropped = np.ones(d2.shape, dtype=bool)
+            np.put_along_axis(dropped, kept, False, axis=1)
+            kept_max = np.take_along_axis(d2, kept, axis=1).max(axis=1)
+            dropped_min = np.where(dropped, d2, np.inf).min(axis=1)
+            assert np.all((kept_max <= dropped_min + 4 * np.spacing(dropped_min))[rows])
+
+    def assert_fresh(self, f, xs, t):
+        """``f``'s velocities, which must be a fresh field's bits; each call
+        adds two entries to the spy, ``f``'s and the fresh field's."""
+        got = efm._efm_rows(f, xs, t) if np.ndim(t) else f(xs, t)
+        fresh = EfmField(f.atoms, neighbors=self.K)
+        want = efm._efm_rows(fresh, xs, t) if np.ndim(t) else fresh(xs, t)
+        assert np.array_equal(got, want, equal_nan=True)
+        return got
+
+    def test_warm_calls_equal_a_fresh_field(self, spy):
+        rng = np.random.default_rng(50)
+        atoms = 2.0 * rng.standard_normal((self.N, 2))
+        f = EfmField(atoms, neighbors=self.K)
+        xs = rng.standard_normal((self.ROWS, 2))
+        # midpoint-like steps: after the first call most rows keep their set
+        dt = 0.01
+        for t in np.arange(0.3, 0.5, dt):
+            v = self.assert_fresh(f, xs, t)
+            v = self.assert_fresh(f, xs + 0.5 * dt * v, t + 0.5 * dt)
+            xs = xs + dt * v
+        assert spy[0][-1] == self.ROWS
+        assert sum(c[-1] for c in spy[2::2]) < 0.25 * self.ROWS * len(spy[2::2])
+        steps = len(spy)
+        # a changed row count, then permuted rows, which miss
+        self.assert_fresh(f, xs[:25], 0.5)
+        self.assert_fresh(f, xs, 0.5)
+        self.assert_fresh(f, xs[rng.permutation(self.ROWS)], 0.5)
+        assert [c[-1] for c in spy[steps::2]] == [25, self.ROWS, self.ROWS]
+        # per-row times, t = 0 and a NaN row
+        self.assert_fresh(f, xs, rng.uniform(0.0, 0.9, self.ROWS))
+        self.assert_fresh(f, xs, 0.0)
+        self.assert_fresh(f, xs, 0.0)
+        xs[7] = np.nan
+        assert np.isnan(self.assert_fresh(f, xs, 0.5)[7]).all()
+        self.assert_fresh(f, xs, 0.5)
+        assert all(c[0] is f for c in spy[::2]) and all(c[0] is not f for c in spy[1::2])
+        assert spy[-1][-1] == self.ROWS and 1 <= spy[-2][-1] < self.ROWS
+        self.assert_top_k(spy)
+
+    def test_a_tie_at_the_kth_key_is_ranked_again(self, spy):
+        # every atom twice, K odd: each row's K-th and (K + 1)-th nearest
+        # atoms are twins, so a guess holding the other twin is a top-K set
+        # too, which the check must not keep
+        rng = np.random.default_rng(51)
+        half = self.N // 2
+        atoms = np.tile(2.0 * rng.standard_normal((half, 2)), (2, 1))
+        f = EfmField(atoms, neighbors=self.K)
+        xs = rng.standard_normal((self.ROWS, 2))
+        for t in (0.4, 0.4, 0.41):
+            self.assert_fresh(f, xs, t)
+        assert [c[-1] for c in spy] == [self.ROWS] * 6
+        self.assert_top_k(spy)
+        g = 0.4
+        cold = efm._top_k(f, xs, g, np.empty(self.ROWS * self.N))
+        d2 = np.take_along_axis(broadcast_sq_dists(xs, atoms, g), cold, axis=1)
+        last = cold[np.arange(self.ROWS), d2.argmax(axis=1)]
+        guess = np.sort(np.where(cold == last[:, None], (last[:, None] + half) % self.N, cold))
+        assert not np.array_equal(guess, cold)
+        assert np.array_equal(efm._top_k(f, xs, g, np.empty(self.ROWS * self.N), guess), cold)
+
+    def test_hint_is_kept_within_one_block(self):
+        rng = np.random.default_rng(52)
+        f = EfmField(rng.standard_normal((self.N, 2)), neighbors=self.K)
+        f(rng.standard_normal((self.ROWS, 2)), 0.5)
+        assert f._hint.shape == (self.ROWS, self.K)
+        rows = efm.BLOCK_ELEMS // self.K + 1
+        f(rng.standard_normal((rows, 2)), 0.5)
+        assert f._hint.shape == (self.ROWS, self.K)
 
 
 class TestSqDists:
